@@ -33,7 +33,6 @@ from .quat import (EPS_ZERO, I, J, K, ONE, ZERO, Quaternion, SliceCoords,
                    as_imaginary_unit, is_imaginary_unit, max_component_diff,
                    project_slice, random_ball_point, random_imaginary_unit,
                    random_tangent, random_unit_quaternion, slice_decompose)
-from .series import DEFAULT_TRUNCATION as SERIES_TRUNCATION
 from .series import RegularPowerSeries
 from .verify import CheckResult, run_checks
 
@@ -46,8 +45,8 @@ __all__ = [
     "DomainError", "EPS_ZERO", "I", "InfinitesimalProbe", "J", "K",
     "KernelTruncation", "NoninvarianceReport", "ONE", "PreconditionError",
     "Quaternion", "RegularMobius", "RegularPowerSeries", "RunConfig",
-    "SERIES_TRUNCATION", "SingularValueError", "SliceCoords",
-    "SpOneOneMatrix", "TensorValue", "ZERO", "arcozzi_sarfatti_norm",
+    "SingularValueError", "SliceCoords", "SpOneOneMatrix", "TensorValue",
+    "ZERO", "arcozzi_sarfatti_norm",
     "as_imaginary_unit", "classical_apply", "classical_differential",
     "conjugation_cu", "curve_length", "delta", "delta_detail",
     "distance_estimate", "hyperbolic_metric", "infinitesimal_ratio",

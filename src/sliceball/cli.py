@@ -5,14 +5,16 @@ Quaternions are written as 4-arrays [w, x, y, z] everywhere: flags,
 JSON fields, CSV columns.  verify emits a JSON report grouped by suite
 with one {name, claim, samples, max_error, tolerance, pass} row per
 check.  Exit status is 0 when every requested check passes, 1 when a
-check fails, 2 on usage or validation errors.  The environment
-variable SLICEBALL_SEED overrides the default seed; an explicit
---seed wins over both.
+check fails, 2 on usage or validation errors.  Each subcommand takes
+only the flags it reads.  For verify, the environment variable
+SLICEBALL_SEED overrides the default seed; an explicit --seed wins
+over both.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,7 +25,7 @@ from .geometry import hyperbolic_metric, tensor_value
 from .hardy import delta, delta_detail
 from .mobius import (RegularMobius, SpOneOneMatrix, classical_apply,
                      matrix_regular_apply, regular_apply)
-from .quat import Quaternion, as_imaginary_unit
+from .quat import ZERO, Quaternion, as_imaginary_unit
 from .series import RegularPowerSeries
 from .verify import run_checks
 
@@ -34,32 +36,46 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_quat(text, label):
+def _decode(text, label):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError("%s is not valid JSON: %s" % (label, e))
-    if not isinstance(data, list) or len(data) != 4 \
-            or not all(isinstance(v, (int, float)) for v in data):
-        raise UsageError("%s must be a 4-array [w, x, y, z]" % label)
-    return Quaternion.from_components(data)
+
+
+def _as_quat(data, label):
+    # exact types keep out true/false; the comparison keeps out NaN and inf
+    if isinstance(data, list) and len(data) == 4 and all(
+            type(v) in (int, float) and -math.inf < v < math.inf
+            for v in data):
+        return Quaternion.from_components(data)
+    raise UsageError("%s must be a 4-array [w, x, y, z]" % label)
+
+
+def _parse_quat(text, label):
+    return _as_quat(_decode(text, label), label)
+
+
+def _parse_entries(text, label, names):
+    """Decode a JSON object and return its named entries as quaternions."""
+    data = _decode(text, label)
+    if not isinstance(data, dict):
+        raise UsageError("%s must be a JSON object" % label)
+    missing = [n for n in names if n not in data]
+    if missing:
+        raise UsageError("%s needs entries %s (missing %s)"
+                         % (label, ", ".join(names), ", ".join(missing)))
+    return [_as_quat(data[n], "%s entry %s" % (label, n)) for n in names]
 
 
 def _parse_series(text, label):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise UsageError("%s is not valid JSON: %s" % (label, e))
+    data = _decode(text, label)
     coeffs = data.get("coeffs") if isinstance(data, dict) else None
     if not isinstance(coeffs, list) or not coeffs:
         raise UsageError('%s must look like {"coeffs": [[w,x,y,z], ...]}'
                          % label)
-    out = []
-    for c in coeffs:
-        if not isinstance(c, list) or len(c) != 4:
-            raise UsageError("%s coefficients must be 4-arrays" % label)
-        out.append(Quaternion.from_components(c))
-    return RegularPowerSeries(out)
+    return RegularPowerSeries([_as_quat(c, "%s coefficient %d" % (label, n))
+                               for n, c in enumerate(coeffs)])
 
 
 def _quat_list(q):
@@ -74,19 +90,15 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _config_from(args):
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(_ENV_SEED, RunConfig.seed))
-    return RunConfig(seed=seed, samples=args.samples,
-                     truncation=args.truncation, atol=args.atol,
-                     rtol=args.rtol, delta_tol=args.tol)
-
-
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args):
-    config = _config_from(args)
+    seed = args.seed
+    if seed is None:
+        seed = int(os.environ.get(_ENV_SEED, RunConfig.seed))
+    config = RunConfig(seed=seed, samples=args.samples,
+                       truncation=args.truncation, atol=args.atol,
+                       rtol=args.rtol, delta_tol=args.tol)
     results = run_checks(config, args.pattern)
     if not results:
         raise UsageError("no suite matches %r" % args.pattern)
@@ -111,7 +123,14 @@ def cmd_verify(args):
 
 # ----------------------------------------------------------- sample-field
 
-_FIELD_TENSORS = ("G", "H", "Omega", "Ghat", "delta0")
+_PAIR_COLUMNS = tuple("%s_%s" % (v, c) for v in ("alpha", "beta")
+                      for c in "wxyz")
+_TENSOR_COLUMNS = _PAIR_COLUMNS + ("H_w", "H_x", "H_y", "H_z", "G",
+                                   "Omega_x", "Omega_y", "Omega_z")
+# the columns after q_w..q_z for each tensor; G, H and Omega share them
+_FIELD_COLUMNS = {"G": _TENSOR_COLUMNS, "H": _TENSOR_COLUMNS,
+                  "Omega": _TENSOR_COLUMNS, "Ghat": _PAIR_COLUMNS + ("Ghat",),
+                  "delta0": ("delta0",)}
 
 
 def _grid_coords(n):
@@ -125,13 +144,15 @@ def _f(v):
 
 
 def cmd_sample_field(args):
-    config = _config_from(args)
+    config = RunConfig(delta_tol=args.tol)
     unit = as_imaginary_unit(_parse_quat(args.slice, "--slice"))
     offset = _parse_quat(args.offset, "--offset") if args.offset else None
     alpha = _parse_quat(args.alpha, "--alpha")
     beta = _parse_quat(args.beta, "--beta")
     if args.grid < 1:
         raise UsageError("--grid must be at least 1")
+    columns = ("q_w", "q_x", "q_y", "q_z") + _FIELD_COLUMNS[args.tensor]
+    pair = tuple(_f(getattr(v, c)) for v in (alpha, beta) for c in "wxyz")
 
     rows = []
     coords = _grid_coords(args.grid)
@@ -143,33 +164,25 @@ def cmd_sample_field(args):
                 q = q + offset
             if abs(q) >= limit:
                 continue
-            row = {"q_w": _f(q.w), "q_x": _f(q.x), "q_y": _f(q.y),
-                   "q_z": _f(q.z)}
+            row = (_f(q.w), _f(q.x), _f(q.y), _f(q.z))
             if args.tensor == "delta0":
-                row["delta0"] = _f(delta(Quaternion(), q, config.delta_tol))
+                row += (_f(delta(ZERO, q, config.delta_tol)),)
+            elif args.tensor == "Ghat":
+                row += pair + (_f(hyperbolic_metric(q, alpha, beta)),)
             else:
-                for name, v in (("alpha", alpha), ("beta", beta)):
-                    row.update({"%s_%s" % (name, c): _f(getattr(v, c))
-                                for c in "wxyz"})
-                if args.tensor == "Ghat":
-                    row["Ghat"] = _f(hyperbolic_metric(q, alpha, beta))
-                else:
-                    tv = tensor_value(q, alpha, beta)
-                    row.update({"H_w": _f(tv.h.w), "H_x": _f(tv.h.x),
-                                "H_y": _f(tv.h.y), "H_z": _f(tv.h.z),
-                                "G": _f(tv.g), "Omega_x": _f(tv.omega.x),
-                                "Omega_y": _f(tv.omega.y),
-                                "Omega_z": _f(tv.omega.z)})
+                tv = tensor_value(q, alpha, beta)
+                h, om = tv.h, tv.omega
+                row += pair + (_f(h.w), _f(h.x), _f(h.y), _f(h.z), _f(tv.g),
+                               _f(om.x), _f(om.y), _f(om.z))
             rows.append(row)
 
     if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+        text = json.dumps([dict(zip(columns, row)) for row in rows],
+                          indent=2)
     else:
-        header = list(rows[0].keys()) if rows else ["q_w", "q_x", "q_y",
-                                                    "q_z"]
-        lines = [",".join(header)]
-        lines += [",".join(repr(row[k]) for k in header) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join([",".join(columns)]
+                         + [",".join(map(repr, row)) for row in rows])
+    _emit(text + "\n", args.out)
     return 0
 
 
@@ -180,16 +193,7 @@ def cmd_transform(args):
     if abs(q) >= 1.0:
         raise UsageError("--q must lie in the open unit ball")
     if args.matrix:
-        data = _parse_json_object(args.matrix, "--matrix")
-        try:
-            A = SpOneOneMatrix(
-                a=_parse_quat(json.dumps(data["a"]), "matrix entry a"),
-                b=_parse_quat(json.dumps(data["b"]), "matrix entry b"),
-                c=_parse_quat(json.dumps(data["c"]), "matrix entry c"),
-                d=_parse_quat(json.dumps(data["d"]), "matrix entry d"))
-        except KeyError as e:
-            raise UsageError("matrix JSON needs entries a, b, c, d "
-                             "(missing %s)" % e)
+        A = SpOneOneMatrix(*_parse_entries(args.matrix, "--matrix", "abcd"))
         violated = A.violated_relation(1e-8)
         if violated:
             raise UsageError("matrix violates %s" % violated)
@@ -200,14 +204,8 @@ def cmd_transform(args):
         payload = {"input": "matrix", "mode": args.mode,
                    "q": _quat_list(q), "result": _quat_list(result)}
     else:
-        data = _parse_json_object(args.canonical, "--canonical")
-        try:
-            m = RegularMobius(
-                a=_parse_quat(json.dumps(data["a"]), "canonical entry a"),
-                u=_parse_quat(json.dumps(data["u"]), "canonical entry u"))
-        except KeyError as e:
-            raise UsageError("canonical JSON needs entries a and u "
-                             "(missing %s)" % e)
+        m = RegularMobius(*_parse_entries(args.canonical, "--canonical",
+                                          "au"))
         if abs(m.a) >= 1.0:
             raise UsageError("canonical zero a must lie in the unit ball")
         if abs(abs(m.u) - 1.0) > 1e-6:
@@ -219,16 +217,6 @@ def cmd_transform(args):
                    "q": _quat_list(q), "result": _quat_list(result)}
     _emit(json.dumps(payload) + "\n", args.out)
     return 0
-
-
-def _parse_json_object(text, label):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise UsageError("%s is not valid JSON: %s" % (label, e))
-    if not isinstance(data, dict):
-        raise UsageError("%s must be a JSON object" % label)
-    return data
 
 
 # --------------------------------------------------------------- distance
@@ -272,18 +260,24 @@ def cmd_series(args):
 
 # ----------------------------------------------------------------- parser
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="sample stream seed (default: env %s or %d)"
-                        % (_ENV_SEED, RunConfig.seed))
-    parser.add_argument("--samples", type=int, default=RunConfig.samples)
-    parser.add_argument("--tol", type=float, default=RunConfig.delta_tol,
-                        help="distance tolerance")
-    parser.add_argument("--atol", type=float, default=RunConfig.atol)
-    parser.add_argument("--rtol", type=float, default=RunConfig.rtol)
-    parser.add_argument("--truncation", type=int,
-                        default=RunConfig.truncation)
-    parser.add_argument("--out", default=None, help="write output to a file")
+# flags shared between subcommands; each subcommand adds the ones it reads
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=None,
+                   help="sample stream seed (default: env %s or %d)"
+                   % (_ENV_SEED, RunConfig.seed)),
+    "--samples": dict(type=int, default=RunConfig.samples),
+    "--tol": dict(type=float, default=RunConfig.delta_tol,
+                  help="distance tolerance"),
+    "--atol": dict(type=float, default=RunConfig.atol),
+    "--rtol": dict(type=float, default=RunConfig.rtol),
+    "--truncation": dict(type=int, default=RunConfig.truncation),
+    "--out": dict(default=None, help="write output to a file"),
+}
+
+
+def _add_shared(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser():
@@ -296,11 +290,11 @@ def build_parser():
     p = sub.add_parser("verify", help="run named invariant suites")
     p.add_argument("pattern", nargs="?", default=None,
                    help="only run checks whose suite/name contains this")
-    _add_common(p)
+    _add_shared(p, *_SHARED_FLAGS)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("sample-field", help="tabulate a tensor on a slice")
-    p.add_argument("--tensor", choices=_FIELD_TENSORS, default="G")
+    p.add_argument("--tensor", choices=_FIELD_COLUMNS, default="G")
     p.add_argument("--slice", default="[0, 1, 0, 0]",
                    help="unit imaginary slice axis")
     p.add_argument("--offset", default=None,
@@ -310,7 +304,7 @@ def build_parser():
     p.add_argument("--grid", type=int, default=16,
                    help="interior lattice points per axis")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p)
+    _add_shared(p, "--tol", "--out")
     p.set_defaults(handler=cmd_sample_field)
 
     p = sub.add_parser("transform", help="apply a ball transformation")
@@ -320,13 +314,13 @@ def build_parser():
     p.add_argument("--q", required=True, help="point to transform")
     p.add_argument("--mode", choices=("regular", "classical"),
                    default="regular")
-    _add_common(p)
+    _add_shared(p, "--out")
     p.set_defaults(handler=cmd_transform)
 
     p = sub.add_parser("distance", help="pseudo-hyperbolic distance")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    _add_common(p)
+    _add_shared(p, "--tol", "--out")
     p.set_defaults(handler=cmd_distance)
 
     p = sub.add_parser("series", help="operate on power series")
@@ -335,7 +329,7 @@ def build_parser():
     p.add_argument("--f", required=True, help='JSON {"coeffs": [...]}')
     p.add_argument("--g", default=None)
     p.add_argument("--q", default=None)
-    _add_common(p)
+    _add_shared(p, "--truncation", "--out")
     p.set_defaults(handler=cmd_series)
 
     return parser

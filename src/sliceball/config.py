@@ -8,7 +8,7 @@ DEFAULT_SAMPLES = 1000
 DEFAULT_TRUNCATION = 64
 DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-9
-DEFAULT_BOUNDARY_MARGIN = 1e-3
+DEFAULT_BOUNDARY_MARGIN = 1e-3   # samplers stay inside |q| <= 1 - margin
 DEFAULT_DELTA_TOL = 1e-10
 
 

@@ -32,6 +32,14 @@ from .quat import (I, J, K, ONE, Quaternion, project_slice, slice_decompose)
 
 _BASIS = (ONE, I, J, K)
 
+# distance_estimate: interior points of each coarse-to-fine level, sweeps
+# per level, central difference step, initial descent rate, gradient exit
+_GEODESIC_LEVELS = (2, 4, 8, 16, 32)
+_GEODESIC_SWEEPS = 400
+_GEODESIC_STEP = 1e-6
+_GEODESIC_RATE = 0.05
+_GEODESIC_GRAD_TOL = 1e-8
+
 
 def _check_base(q):
     if abs(q) >= 1.0:
@@ -297,8 +305,7 @@ class DistanceResult:
     energy: float
 
 
-def distance_estimate(p, q, metric="G", interior=32, step=1e-6,
-                      learning_rate=0.05, max_iter=2000, grad_tol=1e-8):
+def distance_estimate(p, q, metric="G"):
     """Geodesic distance estimate by coarse-to-fine energy descent.
 
     Relaxes a polyline with fixed endpoints by minimizing the segment
@@ -318,12 +325,6 @@ def distance_estimate(p, q, metric="G", interior=32, step=1e-6,
         v = p1 - p0
         return g(mid, v, v)
 
-    sizes = [max(2, interior)]
-    while sizes[-1] > 3:
-        sizes.append(sizes[-1] // 2)
-    sizes.reverse()
-    per_level = max(10, max_iter // len(sizes))
-
     def resample(pts, m):
         # linear interpolation along the polyline at uniform index
         out = []
@@ -336,7 +337,7 @@ def distance_estimate(p, q, metric="G", interior=32, step=1e-6,
     pts = [p, q]
     total_sweeps = 0
     converged = False
-    for m in sizes:
+    for m in _GEODESIC_LEVELS:
         pts = resample(pts, m)
         n = len(pts)
 
@@ -347,7 +348,7 @@ def distance_estimate(p, q, metric="G", interior=32, step=1e-6,
         stall = 0
         prev_length = math.inf
         converged = False
-        for _ in range(per_level):
+        for _ in range(_GEODESIC_SWEEPS):
             total_sweeps += 1
             grad_norm_sq = 0.0
             max_move = 0.0
@@ -355,15 +356,15 @@ def distance_estimate(p, q, metric="G", interior=32, step=1e-6,
                 base = pts[k]
                 grad = []
                 for e in _BASIS:
-                    pts[k] = base + e * step
+                    pts[k] = base + e * _GEODESIC_STEP
                     up = local_energy(k)
-                    pts[k] = base - e * step
+                    pts[k] = base - e * _GEODESIC_STEP
                     down = local_energy(k)
-                    grad.append((up - down) / (2.0 * step))
+                    grad.append((up - down) / (2.0 * _GEODESIC_STEP))
                 pts[k] = base
                 grad_norm_sq += sum(c * c for c in grad)
                 before = local_energy(k)
-                rate = learning_rate
+                rate = _GEODESIC_RATE
                 for _ in range(30):
                     moved = base - Quaternion(*grad) * rate
                     if abs(moved) < 1.0 - 1e-6:
@@ -377,8 +378,8 @@ def distance_estimate(p, q, metric="G", interior=32, step=1e-6,
             stall = stall + 1 if abs(prev_length - length) \
                 <= 1e-9 * (1.0 + length) else 0
             prev_length = length
-            if math.sqrt(grad_norm_sq) <= grad_tol or max_move <= 1e-12 \
-                    or stall >= 3:
+            if math.sqrt(grad_norm_sq) <= _GEODESIC_GRAD_TOL \
+                    or max_move <= 1e-12 or stall >= 3:
                 converged = True
                 break
     energy = sum(seg_energy(a, b) for a, b in zip(pts[:-1], pts[1:]))

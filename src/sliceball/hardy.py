@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_DELTA_TOL
 from .errors import DomainError, PreconditionError
 from .geometry import arcozzi_sarfatti_norm
 from .quat import Quaternion, slice_decompose
 
-DEFAULT_DELTA_TOL = 1e-10
 _ORDER_CAP = 2_000_000
 
 

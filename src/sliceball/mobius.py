@@ -25,15 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_BOUNDARY_MARGIN
 from .errors import ConversionError, DomainError, PreconditionError
-from .quat import (DEFAULT_BOUNDARY_MARGIN, I, J, K, ONE, Quaternion, ZERO,
-                   max_component_diff)
+from .quat import I, J, K, ONE, Quaternion, ZERO, max_component_diff
 from .series import RegularPowerSeries
 
 _NEWTON_CAP = 100
 _NEWTON_DAMPING = 0.5
 _NEWTON_RESIDUAL = 5e-14
 _DEGENERATE_ZERO = 1e-8
+
+# the defining relations of SpOneOneMatrix, in the order of _deviations
+_RELATIONS = ("|a|^2 - |b|^2 = 1", "|d|^2 - |c|^2 = 1",
+              "conj(a) c - conj(b) d = 0")
 
 
 @dataclass(frozen=True)
@@ -44,24 +48,25 @@ class SpOneOneMatrix:
     c: Quaternion
     d: Quaternion
 
+    def _deviations(self):
+        # one entry per name in _RELATIONS
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return (abs(a.norm_sq() - b.norm_sq() - 1.0),
+                abs(d.norm_sq() - c.norm_sq() - 1.0),
+                abs(a.conj() * c - b.conj() * d))
+
     def residual(self):
         """Largest deviation from the three defining relations."""
-        r1 = abs(self.a.norm_sq() - self.b.norm_sq() - 1.0)
-        r2 = abs(self.d.norm_sq() - self.c.norm_sq() - 1.0)
-        r3 = abs(self.a.conj() * self.c - self.b.conj() * self.d)
-        return max(r1, r2, r3)
+        return max(self._deviations())
 
     def is_valid(self, tol=1e-10):
         return self.residual() <= tol
 
     def violated_relation(self, tol):
         """Name of the first defining relation broken beyond tol, or None."""
-        if abs(self.a.norm_sq() - self.b.norm_sq() - 1.0) > tol:
-            return "|a|^2 - |b|^2 = 1"
-        if abs(self.d.norm_sq() - self.c.norm_sq() - 1.0) > tol:
-            return "|d|^2 - |c|^2 = 1"
-        if abs(self.a.conj() * self.c - self.b.conj() * self.d) > tol:
-            return "conj(a) c - conj(b) d = 0"
+        for name, dev in zip(_RELATIONS, self._deviations()):
+            if dev > tol:
+                return name
         return None
 
     @classmethod

@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import DEFAULT_BOUNDARY_MARGIN
 from .errors import DomainError, SingularValueError
 
 EPS_ZERO = 1e-13            # magnitudes at or below this count as zero
-DEFAULT_BOUNDARY_MARGIN = 1e-3   # samplers stay inside |q| <= 1 - margin
 
 _REAL = (int, float)
 

@@ -12,10 +12,9 @@ of the real-coefficient series f^s.
 """
 from __future__ import annotations
 
+from .config import DEFAULT_TRUNCATION
 from .errors import DomainError, SingularValueError
 from .quat import EPS_ZERO, Quaternion
-
-DEFAULT_TRUNCATION = 64
 
 _REAL = (int, float)
 

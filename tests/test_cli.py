@@ -1,9 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from sliceball.cli import main
+from sliceball.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -127,6 +128,29 @@ def test_sample_field_skips_exterior(capsys):
         assert math.sqrt(sum(v * v for v in vals[:4])) < 1.0
 
 
+@pytest.mark.parametrize("tensor", ["G", "H", "Omega", "Ghat", "delta0"])
+def test_sample_field_csv_and_json_agree(capsys, tensor):
+    argv = ["sample-field", "--tensor", tensor, "--grid", "4",
+            "--offset", "[0,0,0.1,0]", "--alpha", "[0,0,1,0]",
+            "--beta", "[0.5,-0.25,0.5,0.75]"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.strip().split("\n")
+    header = lines[0].split(",")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == len(lines) - 1 > 0
+    for line, row in zip(lines[1:], rows):
+        assert list(row) == header
+        assert [float(v) for v in line.split(",")] == list(row.values())
+    # a grid with every point outside the ball keeps the tensor's header
+    code, out, _ = run(capsys, "sample-field", "--tensor", tensor,
+                       "--grid", "1", "--offset", "[1,0,0,0]")
+    assert code == 0
+    assert out == ",".join(header) + "\n"
+
+
 def test_sample_field_rejects_bad_slice(capsys):
     code, _, err = run(capsys, "sample-field", "--slice", "[0,2,0,0]")
     assert code == 2
@@ -238,6 +262,65 @@ def test_series_usage_errors(capsys):
     code, _, err = run(capsys, "series", "eval", "--f", "{}",
                        "--q", "[0,0,0,0]")
     assert code == 2
+
+
+_BASE_ARGV = {
+    "sample-field": ["sample-field", "--grid", "1"],
+    "transform": ["transform", "--canonical",
+                  '{"a": [0,0.5,0,0], "u": [1,0,0,0]}', "--q", "[0,0,0,0]"],
+    "distance": ["distance", "--p", "[0,0,0,0]", "--q", "[0,0.3,0.4,0]"],
+    "series": ["series", "conjugate", "--f", '{"coeffs": [[1,0,0,0]]}'],
+}
+_REMOVED_FLAGS = {
+    "sample-field": ["--seed", "--samples", "--atol", "--rtol",
+                     "--truncation"],
+    "transform": ["--seed", "--samples", "--tol", "--atol", "--rtol",
+                  "--truncation"],
+    "distance": ["--seed", "--samples", "--atol", "--rtol", "--truncation"],
+    "series": ["--seed", "--samples", "--tol", "--atol", "--rtol"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in _REMOVED_FLAGS.items()
+    for flag in flags])
+def test_unread_flag_is_rejected(capsys, command, flag):
+    code, _, _ = run(capsys, *_BASE_ARGV[command])
+    assert code == 0
+    code, _, err = run(capsys, *_BASE_ARGV[command], flag, "1")
+    assert code == 2
+    assert "unrecognized arguments: %s" % flag in err
+
+
+def test_cli_settable_values():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    settable = {name: [a.dest for a in p._actions
+                       if not isinstance(a, argparse._HelpAction)]
+                for name, p in subparsers.choices.items()}
+    assert settable == {
+        "verify": ["pattern", "seed", "samples", "tol", "atol", "rtol",
+                   "truncation", "out"],
+        "sample-field": ["tensor", "slice", "offset", "alpha", "beta",
+                         "grid", "format", "tol", "out"],
+        "transform": ["matrix", "canonical", "q", "mode", "out"],
+        "distance": ["p", "q", "tol", "out"],
+        "series": ["op", "f", "g", "q", "truncation", "out"],
+    }
+    assert sum(map(len, settable.values())) == 32
+
+
+@pytest.mark.parametrize("value", ["[0,0,true,0]", "[0,NaN,0,0]",
+                                   "[Infinity,0,0,0]", '"[0,0,0,0]"'])
+def test_quaternion_flags_reject_non_numbers(capsys, value):
+    code, _, err = run(capsys, "transform", "--canonical",
+                       '{"a": %s, "u": [1,0,0,0]}' % value,
+                       "--q", "[0,0,0,0]")
+    assert code == 2
+    assert "--canonical entry a must be a 4-array" in err
+    code, _, err = run(capsys, "distance", "--p", value, "--q", "[0,0,0,0]")
+    assert code == 2
+    assert "--p must be a 4-array" in err
 
 
 def test_argparse_usage_error_becomes_exit_2(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import assert_qclose, to_vec
 from sliceball import (DomainError, I, J, K, ONE, PreconditionError,
-                       Quaternion, RegularMobius, SpOneOneMatrix,
+                       Quaternion, RegularMobius, SpOneOneMatrix, ZERO,
                        classical_apply, classical_differential,
                        conjugation_cu, matrix_regular_apply,
                        matrix_regular_differential, matrix_to_canonical,
@@ -29,6 +29,23 @@ def test_matrix_relations():
     assert not bad.is_valid()
     assert bad.violated_relation(1e-10) == "|a|^2 - |b|^2 = 1"
     assert SpOneOneMatrix.identity().violated_relation(1e-10) is None
+
+
+def test_each_matrix_relation_is_named():
+    # each matrix breaks exactly one relation, by the given residual
+    cases = [
+        (SpOneOneMatrix(Quaternion(1.5), ZERO, ZERO, ONE), 1.25,
+         "|a|^2 - |b|^2 = 1"),
+        (SpOneOneMatrix(ONE, ZERO, ZERO, Quaternion(0.5)), 0.75,
+         "|d|^2 - |c|^2 = 1"),
+        (SpOneOneMatrix(ONE, ZERO, Quaternion(0.75), Quaternion(1.25)), 0.75,
+         "conj(a) c - conj(b) d = 0"),
+    ]
+    for A, residual, name in cases:
+        assert A.residual() == residual
+        assert A.violated_relation(residual - 1e-3) == name
+        assert A.violated_relation(residual) is None
+        assert A.is_valid(residual) and not A.is_valid(residual - 1e-3)
 
 
 def test_random_sp11_satisfies_relations(rng):
