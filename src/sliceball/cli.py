@@ -13,10 +13,13 @@ over both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .config import RunConfig
 from .errors import (ConversionError, DomainError, PreconditionError,
@@ -82,12 +85,18 @@ def _quat_list(q):
     return [float(q.w), float(q.x), float(q.y), float(q.z)]
 
 
-def _emit(text, out_path):
+@contextlib.contextmanager
+def _output(out_path):
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text, out_path):
+    with _output(out_path) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------- verify
@@ -135,12 +144,7 @@ _FIELD_COLUMNS = {"G": _TENSOR_COLUMNS, "H": _TENSOR_COLUMNS,
 
 def _grid_coords(n):
     # n interior lattice points per axis on (-1, 1)
-    return [(-1.0 + 2.0 * (k + 1) / (n + 1)) for k in range(n)]
-
-
-def _f(v):
-    # adding 0.0 folds negative zero into plain zero
-    return float(v) + 0.0
+    return -1.0 + 2.0 * np.arange(1, n + 1) / (n + 1)
 
 
 def cmd_sample_field(args):
@@ -152,37 +156,55 @@ def cmd_sample_field(args):
     if args.grid < 1:
         raise UsageError("--grid must be at least 1")
     columns = ("q_w", "q_x", "q_y", "q_z") + _FIELD_COLUMNS[args.tensor]
-    pair = tuple(_f(getattr(v, c)) for v in (alpha, beta) for c in "wxyz")
 
-    rows = []
+    # the grid as one batch: q_w varies with x alone (axis 0) and q_x..q_z
+    # with y alone (axis 1), so each is formatted once per grid line
     coords = _grid_coords(args.grid)
-    limit = 1.0 - config.boundary_margin
-    for x in coords:
-        for y in coords:
-            q = Quaternion(x, y * unit.x, y * unit.y, y * unit.z)
-            if offset is not None:
-                q = q + offset
-            if abs(q) >= limit:
-                continue
-            row = (_f(q.w), _f(q.x), _f(q.y), _f(q.z))
-            if args.tensor == "delta0":
-                row += (_f(delta(ZERO, q, config.delta_tol)),)
-            elif args.tensor == "Ghat":
-                row += pair + (_f(hyperbolic_metric(q, alpha, beta)),)
-            else:
-                tv = tensor_value(q, alpha, beta)
-                h, om = tv.h, tv.omega
-                row += pair + (_f(h.w), _f(h.x), _f(h.y), _f(h.z), _f(tv.g),
-                               _f(om.x), _f(om.y), _f(om.z))
-            rows.append(row)
+    x, y = coords[:, None], coords[None, :]
+    grid = Quaternion(x, y * unit.x, y * unit.y, y * unit.z)
+    if offset is not None:
+        grid = grid + offset
+    # i and j are the x and y grid lines of each row, in x-major order
+    i, j = np.nonzero(abs(grid) < 1.0 - config.boundary_margin)
+    q = Quaternion(grid.w[i, 0], grid.x[0, j], grid.y[0, j], grid.z[0, j])
+
+    # each row is q, the alpha/beta pair, then `repeat` copies of the
+    # distinct values: the G and Omega columns repeat H = G + Omega
+    pair, repeat = (), 1
+    if args.tensor == "delta0":
+        # delta has no batched form yet: one call per point
+        points = zip(*(c.tolist() for c in q.components()))
+        values = (np.array([delta(ZERO, Quaternion(*p), config.delta_tol)
+                            for p in points]),)
+    else:
+        pair = alpha.components() + beta.components()
+        if args.tensor == "Ghat":
+            values = (hyperbolic_metric(q, alpha, beta),)
+        else:
+            values = tensor_value(q, alpha, beta).h.components()
+            repeat = 2
+    # adding 0.0 folds negative zero into plain zero
+    pair = tuple(float(v) + 0.0 for v in pair)
+    values = [c + 0.0 for c in values]
 
     if args.format == "json":
-        text = json.dumps([dict(zip(columns, row)) for row in rows],
-                          indent=2)
-    else:
-        text = "\n".join([",".join(columns)]
-                         + [",".join(map(repr, row)) for row in rows])
-    _emit(text + "\n", args.out)
+        cells = [c + 0.0 for c in q.components()] + values
+        rows = [dict(zip(columns, r[:4] + pair + r[4:] * repeat))
+                for r in zip(*(c.tolist() for c in cells))]
+        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+        return 0
+    w_text = list(map(float.__repr__, grid.w[:, 0] + 0.0))
+    xyz_text = list(map(",".join, zip(*(map(float.__repr__, c[0] + 0.0)
+                                         for c in grid.components()[1:]))))
+    fixed = "".join("," + repr(v) for v in pair)
+    lines = ("%s,%s%s%s\n" % (w_text[a], xyz_text[b], fixed,
+                              ("," + ",".join(t)) * repeat)
+             for a, b, t in zip(i.tolist(), j.tolist(),
+                                zip(*(map(float.__repr__, c)
+                                      for c in values))))
+    with _output(args.out) as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(lines)
     return 0
 
 

@@ -42,7 +42,8 @@ _GEODESIC_GRAD_TOL = 1e-8
 
 
 def _check_base(q):
-    if abs(q) >= 1.0:
+    outside = abs(q) >= 1.0
+    if outside is not False and (outside is True or outside.any()):
         raise DomainError("tensor base point must lie in the open unit ball")
 
 

@@ -6,6 +6,14 @@ C_I = {x + y I} where I is a unit imaginary quaternion (I^2 = -1); the
 helpers here move between q and its slice coordinates and split tangent
 vectors into components parallel and orthogonal to a slice.
 
+Components are Python floats, or numpy float64 arrays of one shape: a
+Quaternion with array components is a batch of quaternions.  A formula
+built from the arithmetic operators, abs and inv (such as the closed-form
+tensors in geometry) evaluates a batch elementwise with the same
+arithmetic as a scalar call, and a validity check on a batch fails when
+any element fails.  The other helpers (comparisons, im_norm,
+slice_decompose, the samplers) take scalars only.
+
 Values are treated as immutable: all operations return new instances.
 """
 from __future__ import annotations
@@ -13,16 +21,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import DEFAULT_BOUNDARY_MARGIN
 from .errors import DomainError, SingularValueError
 
 EPS_ZERO = 1e-13            # magnitudes at or below this count as zero
 
-_REAL = (int, float)
+# real scalars; an array is a batch of them
+_REAL = (int, float, np.ndarray)
 
 
 class Quaternion:
     __slots__ = ("w", "x", "y", "z")
+
+    # makes `ndarray op Quaternion` defer to the reflected methods below
+    __array_ufunc__ = None
 
     def __init__(self, w=0.0, x=0.0, y=0.0, z=0.0):
         self.w = w
@@ -90,8 +104,12 @@ class Quaternion:
         return self
 
     def __abs__(self):
-        return math.sqrt(self.w * self.w + self.x * self.x
-                         + self.y * self.y + self.z * self.z)
+        try:
+            return math.sqrt(self.w * self.w + self.x * self.x
+                             + self.y * self.y + self.z * self.z)
+        except TypeError:
+            # array components: one norm per element
+            return np.sqrt(self.norm_sq())
 
     def norm_sq(self):
         return (self.w * self.w + self.x * self.x
@@ -103,7 +121,8 @@ class Quaternion:
     def inv(self):
         """Multiplicative inverse conj(q) / |q|^2."""
         n = self.norm_sq()
-        if n <= EPS_ZERO * EPS_ZERO:
+        small = n <= EPS_ZERO * EPS_ZERO
+        if small is not False and (small is True or small.any()):
             raise SingularValueError(
                 "cannot invert quaternion with |q| <= %g" % EPS_ZERO)
         return Quaternion(self.w / n, -self.x / n, -self.y / n, -self.z / n)

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from .config import DEFAULT_TRUNCATION
 from .errors import DomainError, SingularValueError
-from .quat import EPS_ZERO, Quaternion
-
-_REAL = (int, float)
+from .quat import _REAL, EPS_ZERO, Quaternion
 
 
 def _as_quat(c):
     if isinstance(c, Quaternion):
         return c
     if isinstance(c, _REAL):
-        return Quaternion(float(c), 0.0, 0.0, 0.0)
+        # a real array is a batch of real coefficients, as in Quaternion
+        return Quaternion(1.0 * c, 0.0, 0.0, 0.0)
     return Quaternion.from_components(c)
 
 

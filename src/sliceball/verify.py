@@ -816,14 +816,26 @@ def _matches(check, pattern):
 
 
 def run_checks(config=None, pattern=None):
-    """Run all (or the matching) checks; returns CheckResult list."""
+    """Run all (or the matching) checks; returns CheckResult list.
+
+    A check that raises gives a failed row with NaN error and tolerance
+    and details {"error": "<Type>: <message>"}; the other checks still run.
+    """
     config = config or RunConfig()
     results = []
     for check in CHECKS:
         if not _matches(check, pattern):
             continue
         rng = _rng_for(config.seed, check.suite, check.name)
-        out = check.fn(config, rng)
+        try:
+            out = check.fn(config, rng)
+        except Exception as exc:
+            results.append(CheckResult(
+                suite=check.suite, name=check.name, claim=check.claim,
+                samples=config.samples, max_error=math.nan,
+                tolerance=math.nan, passed=False,
+                details={"error": "%s: %s" % (type(exc).__name__, exc)}))
+            continue
         if isinstance(out, Worst):
             results.append(CheckResult(
                 suite=check.suite, name=check.name, claim=check.claim,

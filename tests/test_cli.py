@@ -1,10 +1,13 @@
 import argparse
+import dataclasses
 import json
 import math
 
 import pytest
 
-from sliceball.cli import build_parser, main
+from sliceball import (ZERO, Quaternion, RunConfig, as_imaginary_unit,
+                       delta, hyperbolic_metric, tensor_value, verify)
+from sliceball.cli import _FIELD_COLUMNS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -48,6 +51,25 @@ def test_verify_output_is_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "hardy", "--samples", "25")
     _, out2, _ = run(capsys, "verify", "hardy", "--samples", "25")
     assert out1 == out2
+
+
+def test_verify_check_that_raises_is_a_failed_row(capsys, monkeypatch):
+    def boom(config, rng):
+        raise ArithmeticError("boom")
+
+    checks = [dataclasses.replace(c, fn=boom)
+              if c.name == "norm-multiplicative" else c
+              for c in verify.CHECKS]
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    code, out, _ = run(capsys, "verify", "quat", "--samples", "10")
+    assert code == 1
+    report = json.loads(out)
+    rows = {r["name"]: r for r in report["suites"][0]["checks"]}
+    assert report["failed"] == 1 and len(rows) == report["checks"] > 1
+    row = rows["norm-multiplicative"]
+    assert row["pass"] is False
+    assert row["details"] == {"error": "ArithmeticError: boom"}
+    assert all(r["pass"] for n, r in rows.items() if n != row["name"])
 
 
 def test_seed_resolution(capsys, monkeypatch):
@@ -149,6 +171,73 @@ def test_sample_field_csv_and_json_agree(capsys, tensor):
                        "--grid", "1", "--offset", "[1,0,0,0]")
     assert code == 0
     assert out == ",".join(header) + "\n"
+
+
+def _reference_sample_field(argv):
+    """sample-field output computed point by point with scalar calls."""
+    args = build_parser().parse_args(argv)
+
+    def parse(text):
+        return Quaternion(*map(float, json.loads(text)))
+
+    def f(v):
+        return float(v) + 0.0
+
+    unit = as_imaginary_unit(parse(args.slice))
+    alpha, beta = parse(args.alpha), parse(args.beta)
+    columns = ("q_w", "q_x", "q_y", "q_z") + _FIELD_COLUMNS[args.tensor]
+    pair = tuple(f(getattr(v, c)) for v in (alpha, beta) for c in "wxyz")
+    coords = [-1.0 + 2.0 * (k + 1) / (args.grid + 1)
+              for k in range(args.grid)]
+    rows = []
+    for x in coords:
+        for y in coords:
+            q = Quaternion(x, y * unit.x, y * unit.y, y * unit.z)
+            if args.offset:
+                q = q + parse(args.offset)
+            if abs(q) >= 1.0 - RunConfig.boundary_margin:
+                continue
+            row = (f(q.w), f(q.x), f(q.y), f(q.z))
+            if args.tensor == "delta0":
+                row += (f(delta(ZERO, q, args.tol)),)
+            elif args.tensor == "Ghat":
+                row += pair + (f(hyperbolic_metric(q, alpha, beta)),)
+            else:
+                tv = tensor_value(q, alpha, beta)
+                h, om = tv.h, tv.omega
+                row += pair + (f(h.w), f(h.x), f(h.y), f(h.z), f(tv.g),
+                               f(om.x), f(om.y), f(om.z))
+            rows.append(row)
+    if args.format == "json":
+        text = json.dumps([dict(zip(columns, row)) for row in rows],
+                          indent=2)
+    else:
+        text = "\n".join([",".join(columns)]
+                         + [",".join(map(repr, row)) for row in rows])
+    return text + "\n"
+
+
+_FIELD_FLAGS = ["--offset", "[0,0,0.1,0]", "--slice", "[0,0.6,0,0.8]",
+                "--alpha", "[0,0,1,0]", "--beta", "[0.5,-0.25,0.5,0.75]"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("tensor", ["G", "H", "Omega", "Ghat", "delta0"])
+@pytest.mark.parametrize("flags", [
+    ["--grid", "40"] + _FIELD_FLAGS,
+    ["--grid", "1", "--offset", "[1,0,0,0]"],
+], ids=["grid40", "all-outside"])
+def test_sample_field_matches_pointwise_reference(capsys, fmt, tensor,
+                                                  flags):
+    argv = ["sample-field", "--tensor", tensor, "--format", fmt] + flags
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = _reference_sample_field(argv)
+    # report the first differing line, not a diff of the whole output
+    first = next(((n, a, b) for n, (a, b) in enumerate(
+        zip(out.split("\n"), want.split("\n"))) if a != b), "lengths")
+    same = out == want
+    assert same, first
 
 
 def test_sample_field_rejects_bad_slice(capsys):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import assert_qclose
-from sliceball import (I, J, K, ONE, PreconditionError, Quaternion,
+from sliceball import (DomainError, I, J, K, ONE, PreconditionError,
+                       Quaternion, SingularValueError,
                        arcozzi_sarfatti_norm, classical_differential,
                        conjugation_cu, curve_length, distance_estimate,
                        hyperbolic_metric, kahler_rank, max_component_diff,
                        noninvariance_witness, random_ball_point,
-                       random_imaginary_unit, random_sp11,
+                       random_imaginary_unit, random_sp11, random_tangent,
                        random_unit_quaternion, representation_transform,
                        classical_apply, slice_hermitian,
                        slice_hermitian_via_definition, slice_kahler,
@@ -262,3 +263,52 @@ def test_distance_estimate_curved():
     res = distance_estimate(p, q, metric="Ghat")
     assert res.converged
     assert abs(res.distance - exact) <= 1e-3
+
+
+def _batch(points):
+    return Quaternion(*(np.array([getattr(p, c) for p in points])
+                        for c in "wxyz"))
+
+
+def test_batched_formulas_equal_scalar_bit_for_bit(rng):
+    n = 10_000
+    qs = [random_ball_point(rng, 0.0) for _ in range(n)]
+    alphas = [random_tangent(rng) for _ in range(n)]
+    betas = [random_tangent(rng) for _ in range(n)]
+    q, alpha, beta = _batch(qs), _batch(alphas), _batch(betas)
+    formulas = {
+        "slice_hermitian": slice_hermitian,
+        "slice_riemannian": lambda *a: slice_riemannian(*a, "closed"),
+        "hyperbolic_metric": hyperbolic_metric,
+        "tensor_value.h": lambda *a: tensor_value(*a).h,
+        "tensor_value.g": lambda *a: tensor_value(*a).g,
+        "tensor_value.omega": lambda *a: tensor_value(*a).omega,
+    }
+    for name, f in formulas.items():
+        batched = f(q, alpha, beta)
+        scalar = [f(*args) for args in zip(qs, alphas, betas)]
+        if isinstance(batched, Quaternion):
+            for c in "wxyz":
+                want = [getattr(s, c) for s in scalar]
+                assert np.array_equal(np.broadcast_to(getattr(batched, c), n),
+                                      want), (name, c)
+        else:
+            assert np.array_equal(batched, scalar), name
+    # an array on the left defers to the quaternion's reflected methods
+    scale = np.linspace(0.5, 2.0, n)
+    left, right = scale * q, q * scale
+    assert isinstance(left, Quaternion)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(left.components(), right.components()))
+
+
+def test_batched_checks_fail_on_any_element():
+    q = Quaternion(np.array([0.0, 0.5, 1.0]), np.zeros(3), np.zeros(3),
+                   np.zeros(3))
+    with pytest.raises(DomainError, match="open unit ball"):
+        slice_hermitian(q, ONE, ONE)
+    with pytest.raises(DomainError, match="open unit ball"):
+        hyperbolic_metric(q, ONE, ONE)
+    with pytest.raises(SingularValueError, match="cannot invert"):
+        q.inv()
+    assert type(abs(Quaternion(0.1, 0.2, 0.3, 0.4))) is float

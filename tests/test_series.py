@@ -175,3 +175,6 @@ def test_truncate_and_order():
 def test_coefficient_coercion():
     f = RegularPowerSeries([1.0, (0.0, 1.0, 0.0, 0.0), np.float64(2.0)])
     assert f.coeffs == (ONE, I, Quaternion(2.0))
+    batch = RegularPowerSeries([np.array([1, 2])]).coeffs[0]
+    assert batch.w.dtype == np.float64
+    assert np.array_equal(batch.w, [1.0, 2.0]) and batch.x == 0.0
