@@ -104,7 +104,12 @@ def _emit(text, out_path):
 def cmd_verify(args):
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(_ENV_SEED, RunConfig.seed))
+        raw = os.environ.get(_ENV_SEED, RunConfig.seed)
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise UsageError("%s must be an integer, got %r"
+                             % (_ENV_SEED, raw))
     config = RunConfig(seed=seed, samples=args.samples,
                        truncation=args.truncation, atol=args.atol,
                        rtol=args.rtol, delta_tol=args.tol)

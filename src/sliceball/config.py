@@ -1,6 +1,7 @@
 """Run configuration shared by the verification suites and the CLI."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 DEFAULT_SEED = 7
@@ -27,9 +28,10 @@ class RunConfig:
             raise ValueError("samples must be at least 1")
         if not 0.0 < self.boundary_margin < 1.0:
             raise ValueError("boundary_margin must lie in (0, 1)")
-        if self.atol <= 0.0 or self.rtol <= 0.0:
-            raise ValueError("atol and rtol must be positive")
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
-        if self.delta_tol <= 0.0:
-            raise ValueError("delta_tol must be positive")
+        for name in ("atol", "rtol", "delta_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError("%s must be positive and finite, got %r"
+                                 % (name, value))

@@ -86,6 +86,24 @@ def test_seed_resolution(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 7
 
 
+def test_non_integer_env_seed_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SLICEBALL_SEED", "abc")
+    code, out, err = run(capsys, "verify", "quat/slice-roundtrip",
+                         "--samples", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: SLICEBALL_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("flag, value, name", [("--atol", "nan", "atol"),
+                                               ("--rtol", "inf", "rtol"),
+                                               ("--tol", "nan", "delta_tol")])
+def test_verify_rejects_non_finite_tolerance(capsys, flag, value, name):
+    code, out, err = run(capsys, "verify", "--samples", "50", flag, value)
+    assert (code, out) == (2, "")
+    assert err == "error: %s must be positive and finite, got %s\n" \
+        % (name, value)
+
+
 def test_verify_out_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "quat/slice-roundtrip",

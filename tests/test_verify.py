@@ -1,6 +1,9 @@
+import dataclasses
+import math
+
 import pytest
 
-from sliceball import RunConfig, run_checks
+from sliceball import Quaternion, RunConfig, mobius, run_checks, verify
 from sliceball.verify import CHECKS
 
 SMALL = RunConfig(samples=25)
@@ -75,3 +78,70 @@ def test_config_validation():
         RunConfig(truncation=0)
     with pytest.raises(ValueError):
         RunConfig(boundary_margin=2.0)
+
+
+@pytest.mark.parametrize("name", ["atol", "rtol", "delta_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_tolerance(name, value):
+    with pytest.raises(ValueError,
+                       match="%s must be positive and finite, got %r"
+                       % (name, value)):
+        RunConfig(**{name: value})
+
+
+def _fold(monkeypatch, fn):
+    # run a stand-in check through run_checks as quat/norm-multiplicative
+    monkeypatch.setattr(verify, "CHECKS",
+                        [dataclasses.replace(CHECKS[0], fn=fn)])
+    (result,) = run_checks(SMALL)
+    return result
+
+
+def test_fold_reports_the_worst_ratio_and_counts_pairs(monkeypatch):
+    def check(config, rng):
+        yield from [(1.0, 10.0), (3.0, 4.0), (2.0, 8.0), (1.5, 2.0)]
+
+    r = _fold(monkeypatch, check)
+    # 3/4 and 1.5/2 tie; the later pair wins
+    assert (r.samples, r.max_error, r.tolerance, r.passed) \
+        == (4, 1.5, 2.0, True)
+    assert r.details == {}
+
+
+def test_nan_error_fails_the_row(monkeypatch):
+    def check(config, rng):
+        yield 0.0, 1.0
+        yield math.nan, 1.0
+        yield 0.5, 1.0
+
+    r = _fold(monkeypatch, check)
+    assert not r.passed
+    assert math.isnan(r.max_error) and r.tolerance == 1.0
+    assert r.samples == 3
+
+
+def test_check_that_yields_nothing_fails(monkeypatch):
+    def check(config, rng):
+        return iter(())
+
+    r = _fold(monkeypatch, check)
+    assert not r.passed
+    assert r.samples == 0
+
+
+@pytest.mark.parametrize("name, pairs", [("riemannian-vs-split-norm", 1000),
+                                         ("riemannian-triple-agreement",
+                                          2000)])
+def test_samples_counts_compared_values(name, pairs):
+    (r,) = run_checks(RunConfig(samples=100), "geometry/" + name)
+    assert r.samples == pairs
+
+
+@pytest.mark.parametrize("norm, passed", [(1.0, False),
+                                          (math.nextafter(1.0, 0.0), True)])
+def test_ball_preserved_fails_only_from_norm_one(monkeypatch, norm, passed):
+    monkeypatch.setattr(mobius, "classical_apply",
+                        lambda A, q: Quaternion(norm, 0.0, 0.0, 0.0))
+    (r,) = run_checks(SMALL, "mobius/ball-preserved")
+    assert r.passed is passed
+    assert r.max_error == norm and r.samples == 2 * SMALL.samples
