@@ -119,8 +119,8 @@ def cmd_verify(args):
     suites = []
     for r in results:
         row = {"name": r.name, "claim": r.claim, "samples": r.samples,
-               "max_error": float(r.max_error),
-               "tolerance": float(r.tolerance), "pass": r.passed}
+               "max_error": _json_number(r.max_error),
+               "tolerance": _json_number(r.tolerance), "pass": r.passed}
         if r.details:
             row["details"] = r.details
         if not suites or suites[-1]["suite"] != r.suite:
@@ -131,8 +131,13 @@ def cmd_verify(args):
               "suites": suites, "checks": len(results),
               "passed": len(results) - failed, "failed": failed,
               "pass": failed == 0}
-    _emit(json.dumps(report, indent=1) + "\n", args.out)
+    _emit(json.dumps(report, indent=1, allow_nan=False) + "\n", args.out)
     return 0 if failed == 0 else 1
+
+
+def _json_number(x):
+    # JSON has no NaN or infinity (RFC 8259), so such a value is null
+    return x if math.isfinite(x) else None
 
 
 # ----------------------------------------------------------- sample-field

@@ -11,8 +11,9 @@ Quaternion with array components is a batch of quaternions.  A formula
 built from the arithmetic operators, abs and inv (such as the closed-form
 tensors in geometry) evaluates a batch elementwise with the same
 arithmetic as a scalar call, and a validity check on a batch fails when
-any element fails.  The other helpers (comparisons, im_norm,
-slice_decompose, the samplers) take scalars only.
+any element fails.  im_norm, max_component_diff and slice_decompose
+also take batches (one value per element, with the scalar rules applied
+to each); comparisons and the samplers take scalars only.
 
 Values are treated as immutable: all operations return new instances.
 """
@@ -139,7 +140,13 @@ class Quaternion:
         return Quaternion(0.0, self.x, self.y, self.z)
 
     def im_norm(self):
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        try:
+            return math.sqrt(self.x * self.x + self.y * self.y
+                             + self.z * self.z)
+        except TypeError:
+            # array components: one norm per element
+            return np.sqrt(self.x * self.x + self.y * self.y
+                           + self.z * self.z)
 
     def components(self):
         return (self.w, self.x, self.y, self.z)
@@ -172,7 +179,15 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def max_component_diff(p, q):
-    return max(abs(p.w - q.w), abs(p.x - q.x), abs(p.y - q.y), abs(p.z - q.z))
+    """Largest |p - q| component; per element for a batch, where a NaN
+    difference in any component gives NaN."""
+    try:
+        return max(abs(p.w - q.w), abs(p.x - q.x), abs(p.y - q.y),
+                   abs(p.z - q.z))
+    except ValueError:
+        # array components: comparing them raised
+        return np.maximum(np.maximum(abs(p.w - q.w), abs(p.x - q.x)),
+                          np.maximum(abs(p.y - q.y), abs(p.z - q.z)))
 
 
 def is_imaginary_unit(q, tol=1e-9):
@@ -206,11 +221,22 @@ def slice_decompose(q):
     """Write q = x + y I with y = |Im q| >= 0.
 
     Real axis points (y <= EPS_ZERO) sit on every slice; the unit
-    defaults to i there and y is clamped to exactly 0.
+    defaults to i there and y is clamped to exactly 0.  For a batch the
+    rule holds per element.
     """
     y = q.im_norm()
-    if y <= EPS_ZERO:
-        return SliceCoords(I, q.w, 0.0)
+    try:
+        if y <= EPS_ZERO:
+            return SliceCoords(I, q.w, 0.0)
+    except ValueError:
+        # a batch: the same rule per element, dividing no element by zero
+        real = y <= EPS_ZERO
+        y = np.where(real, 0.0, y)
+        d = np.where(real, 1.0, y)
+        unit = Quaternion(np.zeros_like(y), np.where(real, 1.0, q.x / d),
+                          np.where(real, 0.0, q.y / d),
+                          np.where(real, 0.0, q.z / d))
+        return SliceCoords(unit, q.w, y)
     return SliceCoords(Quaternion(0.0, q.x / y, q.y / y, q.z / y), q.w, y)
 
 

@@ -8,9 +8,16 @@ configuration; run_checks alone counts the pairs and judges the worst
 error / allowed ratio.  Pinned tolerances scale linearly with atol / rtol
 relative to their defaults, so tightening either flag makes every
 check strictly harder.
+
+Checks whose formulas are plain quaternion arithmetic draw their inputs
+one at a time with the scalar samplers, in a fixed order, and evaluate
+them in blocks of at most _BLOCK draws as array Quaternions; the pairs
+come out in draw order as Python floats, exactly as a per-draw loop
+would yield them.
 """
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -25,6 +32,9 @@ from .quat import (I, J, K, ONE, Quaternion, ZERO, max_component_diff,
 from .series import RegularPowerSeries
 
 _BASIS = (ONE, I, J, K)
+
+# draws evaluated per array call; keeps memory flat in --samples
+_BLOCK = 1000
 
 
 @dataclass(frozen=True)
@@ -47,12 +57,38 @@ def _rtol_scale(config):
     return config.rtol / DEFAULT_RTOL
 
 
+def _larger(*values):
+    """max(values), taken per element when a value is an array."""
+    try:
+        return max(values)
+    except ValueError:
+        return functools.reduce(np.maximum, values)
+
+
 def _rel_q(v1, v2):
-    return max_component_diff(v1, v2) / max(abs(v1), abs(v2), 1e-12)
+    return max_component_diff(v1, v2) / _larger(abs(v1), abs(v2), 1e-12)
 
 
 def _rel_s(x, y):
-    return abs(x - y) / max(abs(x), abs(y), 1e-12)
+    return abs(x - y) / _larger(abs(x), abs(y), 1e-12)
+
+
+def _blocks(count, draw):
+    """Call draw() count times and group the draws in blocks of at most
+    _BLOCK; each block is a tuple with one array Quaternion per value a
+    draw returns."""
+    for start in range(0, count, _BLOCK):
+        draws = [draw() for _ in range(min(_BLOCK, count - start))]
+        yield tuple(Quaternion(*np.array([q.components() for q in column]).T)
+                    for column in zip(*draws))
+
+
+def _pairs(errors, allowed):
+    """(error, allowed) pairs of Python floats, one per element of
+    errors in row-major order (draw order; a row holds one draw's
+    values); either side may be one value for the whole block."""
+    errors, allowed = np.broadcast_arrays(errors, allowed)
+    return zip(errors.ravel().tolist(), allowed.ravel().tolist())
 
 
 def _ball(rng, radius):
@@ -318,6 +354,10 @@ def _tangent_triple(rng, radius=0.9):
     return _ball(rng, radius), random_tangent(rng), random_tangent(rng)
 
 
+def _triple_and_unit(rng):
+    return _tangent_triple(rng) + (random_unit_quaternion(rng),)
+
+
 def check_hermitian_u_independent(config, rng):
     inner = max(2, config.samples // 20)
     allowed = 1e-11 * _rtol_scale(config)
@@ -325,56 +365,62 @@ def check_hermitian_u_independent(config, rng):
         q, a, b = _tangent_triple(rng)
         ref = geometry.slice_hermitian_via_definition(q, a, b, ONE)
         scale = max(abs(ref), 1e-12)
-        for _ in range(inner):
-            u = random_unit_quaternion(rng)
+        for (u,) in _blocks(inner, lambda: (random_unit_quaternion(rng),)):
             val = geometry.slice_hermitian_via_definition(q, a, b, u)
-            yield max_component_diff(val, ref) / scale, allowed
+            yield from _pairs(max_component_diff(val, ref) / scale, allowed)
 
 
 def check_hermitian_closed_form(config, rng):
     allowed = 1e-11 * _rtol_scale(config)
-    for _ in range(config.samples):
-        q, a, b = _tangent_triple(rng)
-        u = random_unit_quaternion(rng)
-        yield (_rel_q(geometry.slice_hermitian_via_definition(q, a, b, u),
-                      geometry.slice_hermitian(q, a, b)), allowed)
+    for q, a, b, u in _blocks(config.samples, lambda: _triple_and_unit(rng)):
+        yield from _pairs(
+            _rel_q(geometry.slice_hermitian_via_definition(q, a, b, u),
+                   geometry.slice_hermitian(q, a, b)), allowed)
 
 
 def check_riemannian_triple(config, rng):
-    allowed = 1e-11 * _rtol_scale(config)
-    for _ in range(config.samples * 10):
-        q, a, b = _tangent_triple(rng)
+    # errors are relative to |H_q(a, b)| = sqrt(G_q(a, a) G_q(b, b)),
+    # which bounds |G_q(a, b)|; G_q(a, b) itself can be near zero
+    allowed = 1e-13 * _rtol_scale(config)
+    for q, a, b in _blocks(config.samples * 10,
+                           lambda: _tangent_triple(rng)):
         closed = geometry.slice_riemannian(q, a, b, "closed")
         corrected = geometry.slice_riemannian(q, a, b, "corrected")
         via_h = geometry.slice_riemannian(q, a, b, "via-h")
-        yield _rel_s(closed, corrected), allowed
-        yield _rel_s(closed, via_h), allowed
+        scale = np.sqrt(geometry.slice_riemannian(q, a, a)
+                        * geometry.slice_riemannian(q, b, b))
+        # two pairs per draw: closed vs corrected, then closed vs via-h
+        errors = np.column_stack((abs(closed - corrected) / scale,
+                                  abs(closed - via_h) / scale))
+        yield from _pairs(errors, allowed)
 
 
 def check_riemannian_vs_split_norm(config, rng):
     allowed = 1e-11 * _rtol_scale(config)
-    for _ in range(config.samples * 10):
-        q = _ball(rng, 0.9)
-        a = random_tangent(rng)
-        yield (_rel_s(geometry.slice_riemannian(q, a, a),
-                      geometry.arcozzi_sarfatti_norm(q, a)), allowed)
+    for q, a in _blocks(config.samples * 10,
+                        lambda: (_ball(rng, 0.9), random_tangent(rng))):
+        yield from _pairs(_rel_s(geometry.slice_riemannian(q, a, a),
+                                 geometry.arcozzi_sarfatti_norm(q, a)),
+                          allowed)
 
 
 def check_split_scalar_identity(config, rng):
-    for _ in range(config.samples * 10):
-        q = random_ball_point(rng, config.boundary_margin)
+    for (q,) in _blocks(config.samples * 10, lambda: (
+            random_ball_point(rng, config.boundary_margin),)):
         lhs = (1 - q * q).norm_sq() - 4.0 * q.im.norm_sq()
-        rhs = (1.0 - q.norm_sq()) ** 2
-        yield abs(lhs - rhs), 1e-13 * _atol_scale(config)
+        # float_power squares with the C library's pow, as float ** 2
+        # does; ndarray ** 2 multiplies, which differs from it in the
+        # last bit for about 0.07% of values
+        rhs = np.float_power(1.0 - q.norm_sq(), 2)
+        yield from _pairs(abs(lhs - rhs), 1e-13 * _atol_scale(config))
 
 
 def check_hermitian_symmetric(config, rng):
-    for _ in range(config.samples):
-        q, a, b = _tangent_triple(rng)
+    for q, a, b in _blocks(config.samples, lambda: _tangent_triple(rng)):
         hab = geometry.slice_hermitian(q, a, b)
         hba = geometry.slice_hermitian(q, b, a)
-        yield (max_component_diff(hab, hba.conj()),
-               config.atol + config.rtol * max(1.0, abs(hab)))
+        yield from _pairs(max_component_diff(hab, hba.conj()),
+                          config.atol + config.rtol * _larger(1.0, abs(hab)))
 
 
 def check_hermitian_positive(config, rng):
@@ -388,22 +434,20 @@ def check_hermitian_positive(config, rng):
 
 
 def check_decomposition(config, rng):
-    for _ in range(config.samples):
-        q, a, b = _tangent_triple(rng)
+    for q, a, b in _blocks(config.samples, lambda: _tangent_triple(rng)):
         tv = geometry.tensor_value(q, a, b)
         g_closed = geometry.slice_riemannian(q, a, b, "closed")
         recon = Quaternion(g_closed, 0, 0, 0) + tv.omega
-        yield (max_component_diff(tv.h, recon),
-               config.atol + config.rtol * max(1.0, abs(tv.h)))
+        yield from _pairs(max_component_diff(tv.h, recon),
+                          config.atol + config.rtol * _larger(1.0, abs(tv.h)))
 
 
 def check_kahler_antisymmetric(config, rng):
-    for _ in range(config.samples):
-        q, a, b = _tangent_triple(rng)
+    for q, a, b in _blocks(config.samples, lambda: _tangent_triple(rng)):
         oab = geometry.slice_kahler(q, a, b)
         oba = geometry.slice_kahler(q, b, a)
-        yield (max_component_diff(oab, -oba),
-               config.atol + config.rtol * max(1.0, abs(oab)))
+        yield from _pairs(max_component_diff(oab, -oba),
+                          config.atol + config.rtol * _larger(1.0, abs(oab)))
 
 
 def check_kahler_rank(config, rng):
@@ -446,15 +490,10 @@ def _check_representation(config, rng, tensor):
     fns = {"G": geometry.slice_riemannian, "H": geometry.slice_hermitian,
            "Omega": geometry.slice_kahler}
     direct = fns[tensor]
-    for _ in range(config.samples):
-        q, a, b = _tangent_triple(rng)
-        u = random_unit_quaternion(rng)
-        lhs = direct(q, a, b)
+    rel = _rel_s if tensor == "G" else _rel_q
+    for q, a, b, u in _blocks(config.samples, lambda: _triple_and_unit(rng)):
         rhs = geometry.representation_transform(u, tensor, q, a, b)
-        if tensor == "G":
-            yield _rel_s(lhs, rhs), allowed
-        else:
-            yield _rel_q(lhs, rhs), allowed
+        yield from _pairs(rel(direct(q, a, b), rhs), allowed)
 
 
 def check_representation_riemannian(config, rng):

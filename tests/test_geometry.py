@@ -239,6 +239,27 @@ def test_curve_length_segment():
         curve_length(pts[:2], "bogus")
 
 
+def _curve_length_loop(points, metric):
+    # one metric call per segment, added left to right
+    g = slice_riemannian if metric == "G" else hyperbolic_metric
+    total = 0.0
+    for p0, p1 in zip(points[:-1], points[1:]):
+        mid = (p0 + p1) * 0.5
+        v = p1 - p0
+        total += math.sqrt(max(g(mid, v, v), 0.0))
+    return total
+
+
+def test_curve_length_equals_segment_loop_bit_for_bit(rng):
+    unit = random_imaginary_unit(rng)
+    radial = [unit * (0.7 * k / 4000.0) for k in range(4001)]
+    bent = [random_ball_point(rng, 0.1) for _ in range(1203)]
+    for pts in (radial, bent):
+        for metric in ("G", "Ghat"):
+            assert curve_length(pts, metric) \
+                == _curve_length_loop(pts, metric), metric
+
+
 def test_distance_estimate_self(rng):
     p = random_ball_point(rng, 0.2)
     res = distance_estimate(p, p)
@@ -283,6 +304,10 @@ def test_batched_formulas_equal_scalar_bit_for_bit(rng):
         "tensor_value.h": lambda *a: tensor_value(*a).h,
         "tensor_value.g": lambda *a: tensor_value(*a).g,
         "tensor_value.omega": lambda *a: tensor_value(*a).omega,
+        "slice_riemannian.corrected":
+            lambda *a: slice_riemannian(*a, "corrected"),
+        "slice_hermitian_via_definition": slice_hermitian_via_definition,
+        "arcozzi_sarfatti_norm": lambda q, a, b: arcozzi_sarfatti_norm(q, a),
     }
     for name, f in formulas.items():
         batched = f(q, alpha, beta)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,32 @@ def test_slice_decompose_near_real_defaults_to_i():
     assert sc.unit == I
     assert sc.y == 0.0
     assert sc.x == 0.3
+
+
+def test_batched_helpers_equal_scalar_calls(rng):
+    qs = [random_ball_point(rng) for _ in range(200)]
+    # on the real axis, within EPS_ZERO of it, and just outside that
+    qs += [Quaternion(0.5), Quaternion(0.3, 1e-15, 0.0, 0.0),
+           Quaternion(-0.2, 0.0, 2e-13, 0.0)]
+    ps = [random_ball_point(rng) for _ in qs]
+    q = Quaternion(*np.array([c.components() for c in qs]).T)
+    p = Quaternion(*np.array([c.components() for c in ps]).T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # e.g. a division by zero
+        norms = q.im_norm()
+        diffs = max_component_diff(p, q)
+        sc = slice_decompose(q)
+    assert np.array_equal(norms, [c.im_norm() for c in qs])
+    assert np.array_equal(diffs, [max_component_diff(a, b)
+                                  for a, b in zip(ps, qs)])
+    scalar = [slice_decompose(c) for c in qs]
+    assert np.array_equal(sc.x, [s.x for s in scalar])
+    assert np.array_equal(sc.y, [s.y for s in scalar])
+    for c in "wxyz":
+        assert np.array_equal(getattr(sc.unit, c),
+                              [getattr(s.unit, c) for s in scalar]), c
+    assert [s.unit for s in scalar[-3:-1]] == [I, I]
+    assert type(Quaternion(0.1, 0.2, 0.3, 0.4).im_norm()) is float
 
 
 def test_project_slice_spot():

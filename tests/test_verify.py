@@ -3,7 +3,10 @@ import math
 
 import pytest
 
-from sliceball import Quaternion, RunConfig, mobius, run_checks, verify
+from sliceball import (ONE, Quaternion, RunConfig, geometry,
+                       max_component_diff, mobius, random_ball_point,
+                       random_tangent, random_unit_quaternion, run_checks,
+                       verify)
 from sliceball.verify import CHECKS
 
 SMALL = RunConfig(samples=25)
@@ -22,6 +25,9 @@ def test_registry_is_well_formed():
 def test_all_checks_pass_at_small_samples():
     results = run_checks(SMALL)
     assert len(results) == len(CHECKS)
+    # Python types, so the report serialises and compares as plain values
+    assert all(type(r.max_error) is float and type(r.tolerance) is float
+               and type(r.passed) is bool for r in results)
     bad = ["%s/%s err=%g tol=%g" % (r.suite, r.name, r.max_error,
                                     r.tolerance)
            for r in results if not r.passed]
@@ -145,3 +151,148 @@ def test_ball_preserved_fails_only_from_norm_one(monkeypatch, norm, passed):
     (r,) = run_checks(SMALL, "mobius/ball-preserved")
     assert r.passed is passed
     assert r.max_error == norm and r.samples == 2 * SMALL.samples
+
+
+# Per-draw loops of the checks that evaluate their draws in blocks: the
+# reference that every block must reproduce pair for pair.
+
+def _loop_hermitian_u_independent(config, rng):
+    inner = max(2, config.samples // 20)
+    allowed = 1e-11 * verify._rtol_scale(config)
+    for _ in range(config.samples):
+        q, a, b = verify._tangent_triple(rng)
+        ref = geometry.slice_hermitian_via_definition(q, a, b, ONE)
+        scale = max(abs(ref), 1e-12)
+        for _ in range(inner):
+            u = random_unit_quaternion(rng)
+            val = geometry.slice_hermitian_via_definition(q, a, b, u)
+            yield max_component_diff(val, ref) / scale, allowed
+
+
+def _loop_hermitian_closed_form(config, rng):
+    allowed = 1e-11 * verify._rtol_scale(config)
+    for _ in range(config.samples):
+        q, a, b = verify._tangent_triple(rng)
+        u = random_unit_quaternion(rng)
+        yield (_rel_q(geometry.slice_hermitian_via_definition(q, a, b, u),
+                      geometry.slice_hermitian(q, a, b)), allowed)
+
+
+def _loop_riemannian_triple(config, rng):
+    allowed = 1e-13 * verify._rtol_scale(config)
+    for _ in range(config.samples * 10):
+        q, a, b = verify._tangent_triple(rng)
+        closed = geometry.slice_riemannian(q, a, b, "closed")
+        corrected = geometry.slice_riemannian(q, a, b, "corrected")
+        via_h = geometry.slice_riemannian(q, a, b, "via-h")
+        scale = math.sqrt(geometry.slice_riemannian(q, a, a)
+                          * geometry.slice_riemannian(q, b, b))
+        yield abs(closed - corrected) / scale, allowed
+        yield abs(closed - via_h) / scale, allowed
+
+
+def _loop_riemannian_vs_split_norm(config, rng):
+    allowed = 1e-11 * verify._rtol_scale(config)
+    for _ in range(config.samples * 10):
+        q = verify._ball(rng, 0.9)
+        a = random_tangent(rng)
+        yield (_rel_s(geometry.slice_riemannian(q, a, a),
+                      geometry.arcozzi_sarfatti_norm(q, a)), allowed)
+
+
+def _loop_split_scalar_identity(config, rng):
+    for _ in range(config.samples * 10):
+        q = random_ball_point(rng, config.boundary_margin)
+        lhs = (1 - q * q).norm_sq() - 4.0 * q.im.norm_sq()
+        rhs = (1.0 - q.norm_sq()) ** 2
+        yield abs(lhs - rhs), 1e-13 * verify._atol_scale(config)
+
+
+def _loop_hermitian_symmetric(config, rng):
+    for _ in range(config.samples):
+        q, a, b = verify._tangent_triple(rng)
+        hab = geometry.slice_hermitian(q, a, b)
+        hba = geometry.slice_hermitian(q, b, a)
+        yield (max_component_diff(hab, hba.conj()),
+               config.atol + config.rtol * max(1.0, abs(hab)))
+
+
+def _loop_decomposition(config, rng):
+    for _ in range(config.samples):
+        q, a, b = verify._tangent_triple(rng)
+        tv = geometry.tensor_value(q, a, b)
+        g_closed = geometry.slice_riemannian(q, a, b, "closed")
+        recon = Quaternion(g_closed, 0, 0, 0) + tv.omega
+        yield (max_component_diff(tv.h, recon),
+               config.atol + config.rtol * max(1.0, abs(tv.h)))
+
+
+def _loop_kahler_antisymmetric(config, rng):
+    for _ in range(config.samples):
+        q, a, b = verify._tangent_triple(rng)
+        oab = geometry.slice_kahler(q, a, b)
+        oba = geometry.slice_kahler(q, b, a)
+        yield (max_component_diff(oab, -oba),
+               config.atol + config.rtol * max(1.0, abs(oab)))
+
+
+def _loop_representation(tensor):
+    direct = {"G": geometry.slice_riemannian, "H": geometry.slice_hermitian,
+              "Omega": geometry.slice_kahler}[tensor]
+
+    def loop(config, rng):
+        allowed = 1e-11 * verify._rtol_scale(config)
+        for _ in range(config.samples):
+            q, a, b = verify._tangent_triple(rng)
+            u = random_unit_quaternion(rng)
+            lhs = direct(q, a, b)
+            rhs = geometry.representation_transform(u, tensor, q, a, b)
+            if tensor == "G":
+                yield _rel_s(lhs, rhs), allowed
+            else:
+                yield _rel_q(lhs, rhs), allowed
+    return loop
+
+
+def _rel_q(v1, v2):
+    return max_component_diff(v1, v2) / max(abs(v1), abs(v2), 1e-12)
+
+
+def _rel_s(x, y):
+    return abs(x - y) / max(abs(x), abs(y), 1e-12)
+
+
+PER_DRAW_LOOPS = {
+    "hermitian-u-independent": _loop_hermitian_u_independent,
+    "hermitian-closed-form": _loop_hermitian_closed_form,
+    "riemannian-triple-agreement": _loop_riemannian_triple,
+    "riemannian-vs-split-norm": _loop_riemannian_vs_split_norm,
+    "split-scalar-identity": _loop_split_scalar_identity,
+    "hermitian-symmetric": _loop_hermitian_symmetric,
+    "decomposition-h-g-omega": _loop_decomposition,
+    "kahler-antisymmetric": _loop_kahler_antisymmetric,
+    "representation-riemannian": _loop_representation("G"),
+    "representation-hermitian": _loop_representation("H"),
+    "representation-kahler": _loop_representation("Omega"),
+}
+
+
+@pytest.mark.parametrize("block, seed", [(1000, 1), (1000, 2), (1000, 3),
+                                         (7, 1), (1, 2)])
+@pytest.mark.parametrize("name", sorted(PER_DRAW_LOOPS))
+def test_blocks_yield_the_pairs_of_the_per_draw_loop(monkeypatch, name,
+                                                     block, seed):
+    # blocks of 7 and 1 also cover a short last block and 1-element arrays
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    config = RunConfig(seed=seed, samples=60)
+    (check,) = [c for c in CHECKS if c.name == name]
+    batched = list(check.fn(config, verify._rng_for(seed, "geometry", name)))
+    looped = list(PER_DRAW_LOOPS[name](config,
+                                       verify._rng_for(seed, "geometry", name)))
+    assert batched == looped
+    assert all(type(e) is float and type(a) is float for e, a in batched)
+
+
+def test_riemannian_triple_agreement_passes_at_default_samples():
+    (r,) = run_checks(RunConfig(seed=7), "geometry/riemannian-triple-agreement")
+    assert r.passed and r.samples == 20000
