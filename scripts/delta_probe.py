@@ -1,59 +1,17 @@
-"""Probe the kernel distance at small scales.
+"""Tabulate how the kernel truncation order of delta grows as both points
+approach the boundary.
 
-Measures the ratio delta(q, q + t alpha) / t as t -> 0 against the
-split tangent norm, on slice directions (where the two agree) and on
-transverse directions (where the limit is its own quantity), then
-tabulates how the truncation order grows as both points approach the
-boundary.
+The infinitesimal form of delta is a verify check,
+`sliceball verify hardy/infinitesimal`.
 """
 import argparse
 
-import numpy as np
-
-from sliceball import (Quaternion, infinitesimal_ratio, random_ball_point,
-                       random_imaginary_unit, truncation_for)
+from sliceball import Quaternion, truncation_for
 
 
-def probe_ratios(rng, samples):
-    print("# delta(q, q + t a)/t -> limit vs split norm sqrt")
-    print("%10s %12s %12s %12s %12s" % ("kind", "limit", "norm", "ratio",
-                                        "settled"))
-    for _ in range(samples):
-        unit = random_imaginary_unit(rng)
-        x, y = rng.uniform(-0.5, 0.5, 2)
-        q = Quaternion(x) + y * unit
-        s, t = rng.standard_normal(2)
-        alpha = Quaternion(s) + t * unit
-        if abs(alpha) < 0.1:
-            continue
-        probe = infinitesimal_ratio(q, alpha)
-        print("%10s %12.7f %12.7f %12.7f %12s"
-              % ("slice", probe.limit, probe.norm, probe.ratio,
-                 probe.conclusive))
-
-        perp = perp_of(unit)
-        probe = infinitesimal_ratio(q, perp)
-        print("%10s %12.7f %12.7f %12.7f %12s"
-              % ("transverse", probe.limit, probe.norm, probe.ratio,
-                 probe.conclusive))
-
-
-def perp_of(unit):
-    for cand in (Quaternion(0, 0, 1, 0), Quaternion(0, 0, 0, 1),
-                 Quaternion(0, 1, 0, 0)):
-        # subtract the slice-plane part and renormalize
-        s = unit * cand * unit
-        perp = (cand + s) * 0.5
-        if abs(perp) > 0.5:
-            return perp * (1.0 / abs(perp))
-    raise AssertionError("no transverse direction found")
-
-
-def probe_truncation(rng, tol):
-    print("\n# truncation order as the pair approaches the boundary")
+def probe_truncation(tol):
+    print("# truncation order as the pair approaches the boundary")
     print("%8s %10s %14s" % ("radius", "order", "tail bound"))
-    base = random_ball_point(rng, 0.5)
-    base = base * (0.25 / max(abs(base), 1e-9))
     for r in (0.5, 0.7, 0.9, 0.99, 0.999):
         p = Quaternion(r)
         q = Quaternion(0.0, r, 0.0, 0.0)
@@ -63,14 +21,9 @@ def probe_truncation(rng, tol):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--samples", type=int, default=5)
     parser.add_argument("--tol", type=float, default=1e-12)
     args = parser.parse_args()
-
-    rng = np.random.default_rng(args.seed)
-    probe_ratios(rng, args.samples)
-    probe_truncation(rng, args.tol)
+    probe_truncation(args.tol)
 
 
 if __name__ == "__main__":

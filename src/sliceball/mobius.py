@@ -56,16 +56,19 @@ class SpOneOneMatrix:
                 abs(a.conj() * c - b.conj() * d))
 
     def residual(self):
-        """Largest deviation from the three defining relations."""
-        return max(self._deviations())
+        """Largest deviation from the three defining relations; NaN when
+        any deviation is NaN."""
+        devs = self._deviations()
+        return math.nan if any(d != d for d in devs) else max(devs)
 
     def is_valid(self, tol=1e-10):
         return self.residual() <= tol
 
     def violated_relation(self, tol):
-        """Name of the first defining relation broken beyond tol, or None."""
+        """Name of the first defining relation not within tol (a NaN
+        deviation counts as broken), or None."""
         for name, dev in zip(_RELATIONS, self._deviations()):
-            if dev > tol:
+            if not dev <= tol:
                 return name
         return None
 
@@ -186,7 +189,7 @@ def matrix_regular_differential(A, q, alpha):
     return _matrix_regular_differential(sym, num, q, alpha)
 
 
-def matrix_to_canonical(A, tol=1e-10):
+def matrix_to_canonical(A):
     """Factor rF_A as the canonical pair (a, u).
 
     a is the unique zero of rF_A in the ball, located by damped Newton

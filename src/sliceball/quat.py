@@ -179,11 +179,21 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def max_component_diff(p, q):
-    """Largest |p - q| component; per element for a batch, where a NaN
-    difference in any component gives NaN."""
+    """Largest |p - q| component, or NaN when any component differs by
+    NaN; per element for a batch."""
     try:
-        return max(abs(p.w - q.w), abs(p.x - q.x), abs(p.y - q.y),
-                   abs(p.z - q.z))
+        # unrolled: builtin max drops a NaN that is not its first argument
+        m = abs(p.w - q.w)
+        d = abs(p.x - q.x)
+        if d > m or d != d:
+            m = d
+        d = abs(p.y - q.y)
+        if d > m or d != d:
+            m = d
+        d = abs(p.z - q.z)
+        if d > m or d != d:
+            m = d
+        return m
     except ValueError:
         # array components: comparing them raised
         return np.maximum(np.maximum(abs(p.w - q.w), abs(p.x - q.x)),

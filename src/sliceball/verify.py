@@ -73,6 +73,17 @@ def _rel_s(x, y):
     return abs(x - y) / _larger(abs(x), abs(y), 1e-12)
 
 
+def _cauchy_schwarz(metric, q, a, b):
+    """sqrt(metric(q, a, a) metric(q, b, b)), per element for a batch.
+
+    It bounds |metric(q, a, b)| and, unlike that value, does not vanish
+    for nearly orthogonal a and b, so round-off is measured against it;
+    for G it equals |H_q(a, b)|.
+    """
+    s = metric(q, a, a) * metric(q, b, b)
+    return np.sqrt(s) if isinstance(s, np.ndarray) else math.sqrt(s)
+
+
 def _blocks(count, draw):
     """Call draw() count times and group the draws in blocks of at most
     _BLOCK; each block is a tuple with one array Quaternion per value a
@@ -185,11 +196,10 @@ def check_symmetrization_commutes(config, rng):
 
 
 def check_symmetrization_real(config, rng):
+    allowed = 1e-13 * _atol_scale(config)
     for _ in range(max(10, config.samples // 5)):
-        sym = _random_series(rng, 8).symmetrize()
-        scale = max(1.0, _coeff_scale(sym))
-        for c in sym.coeffs:
-            yield c.im_norm(), 1e-13 * scale * _atol_scale(config)
+        for c in _random_series(rng, 8).symmetrize().coeffs:
+            yield c.im_norm(), allowed
 
 
 def check_slice_evaluation_homomorphism(config, rng):
@@ -350,19 +360,20 @@ def check_normalize_pair(config, rng):
 
 # ------------------------------------------------------------- geometry
 
-def _tangent_triple(rng, radius=0.9):
-    return _ball(rng, radius), random_tangent(rng), random_tangent(rng)
+def _tangent_triple(config, rng):
+    return (random_ball_point(rng, config.boundary_margin),
+            random_tangent(rng), random_tangent(rng))
 
 
-def _triple_and_unit(rng):
-    return _tangent_triple(rng) + (random_unit_quaternion(rng),)
+def _triple_and_unit(config, rng):
+    return _tangent_triple(config, rng) + (random_unit_quaternion(rng),)
 
 
 def check_hermitian_u_independent(config, rng):
     inner = max(2, config.samples // 20)
     allowed = 1e-11 * _rtol_scale(config)
     for _ in range(config.samples):
-        q, a, b = _tangent_triple(rng)
+        q, a, b = _tangent_triple(config, rng)
         ref = geometry.slice_hermitian_via_definition(q, a, b, ONE)
         scale = max(abs(ref), 1e-12)
         for (u,) in _blocks(inner, lambda: (random_unit_quaternion(rng),)):
@@ -372,23 +383,21 @@ def check_hermitian_u_independent(config, rng):
 
 def check_hermitian_closed_form(config, rng):
     allowed = 1e-11 * _rtol_scale(config)
-    for q, a, b, u in _blocks(config.samples, lambda: _triple_and_unit(rng)):
+    for q, a, b, u in _blocks(config.samples,
+                              lambda: _triple_and_unit(config, rng)):
         yield from _pairs(
             _rel_q(geometry.slice_hermitian_via_definition(q, a, b, u),
                    geometry.slice_hermitian(q, a, b)), allowed)
 
 
 def check_riemannian_triple(config, rng):
-    # errors are relative to |H_q(a, b)| = sqrt(G_q(a, a) G_q(b, b)),
-    # which bounds |G_q(a, b)|; G_q(a, b) itself can be near zero
     allowed = 1e-13 * _rtol_scale(config)
     for q, a, b in _blocks(config.samples * 10,
-                           lambda: _tangent_triple(rng)):
+                           lambda: _tangent_triple(config, rng)):
         closed = geometry.slice_riemannian(q, a, b, "closed")
         corrected = geometry.slice_riemannian(q, a, b, "corrected")
         via_h = geometry.slice_riemannian(q, a, b, "via-h")
-        scale = np.sqrt(geometry.slice_riemannian(q, a, a)
-                        * geometry.slice_riemannian(q, b, b))
+        scale = _cauchy_schwarz(geometry.slice_riemannian, q, a, b)
         # two pairs per draw: closed vs corrected, then closed vs via-h
         errors = np.column_stack((abs(closed - corrected) / scale,
                                   abs(closed - via_h) / scale))
@@ -416,7 +425,8 @@ def check_split_scalar_identity(config, rng):
 
 
 def check_hermitian_symmetric(config, rng):
-    for q, a, b in _blocks(config.samples, lambda: _tangent_triple(rng)):
+    for q, a, b in _blocks(config.samples,
+                           lambda: _tangent_triple(config, rng)):
         hab = geometry.slice_hermitian(q, a, b)
         hba = geometry.slice_hermitian(q, b, a)
         yield from _pairs(max_component_diff(hab, hba.conj()),
@@ -425,7 +435,7 @@ def check_hermitian_symmetric(config, rng):
 
 def check_hermitian_positive(config, rng):
     for _ in range(config.samples):
-        q, a, _ = _tangent_triple(rng)
+        q, a, _ = _tangent_triple(config, rng)
         for v in (a, a * 1e-8):
             h = geometry.slice_hermitian(q, v, v)
             yield h.im_norm(), config.atol + config.rtol * max(1.0, abs(h))
@@ -434,7 +444,8 @@ def check_hermitian_positive(config, rng):
 
 
 def check_decomposition(config, rng):
-    for q, a, b in _blocks(config.samples, lambda: _tangent_triple(rng)):
+    for q, a, b in _blocks(config.samples,
+                           lambda: _tangent_triple(config, rng)):
         tv = geometry.tensor_value(q, a, b)
         g_closed = geometry.slice_riemannian(q, a, b, "closed")
         recon = Quaternion(g_closed, 0, 0, 0) + tv.omega
@@ -443,7 +454,8 @@ def check_decomposition(config, rng):
 
 
 def check_kahler_antisymmetric(config, rng):
-    for q, a, b in _blocks(config.samples, lambda: _tangent_triple(rng)):
+    for q, a, b in _blocks(config.samples,
+                           lambda: _tangent_triple(config, rng)):
         oab = geometry.slice_kahler(q, a, b)
         oba = geometry.slice_kahler(q, b, a)
         yield from _pairs(max_component_diff(oab, -oba),
@@ -457,15 +469,17 @@ def check_kahler_rank(config, rng):
 
 
 def check_hyperbolic_invariance(config, rng):
-    allowed = 1e-8 * _rtol_scale(config)
+    allowed = 1e-11 * _rtol_scale(config)
     for _ in range(max(5, config.samples // 5)):
         A = mobius.random_sp11(rng)
-        q, a, b = _tangent_triple(rng)
+        q, a, b = _tangent_triple(config, rng)
         image = mobius.classical_apply(A, q)
         da = mobius.classical_differential(A, q, a)
         db = mobius.classical_differential(A, q, b)
-        yield (_rel_s(geometry.hyperbolic_metric(image, da, db),
-                      geometry.hyperbolic_metric(q, a, b)), allowed)
+        ghat = geometry.hyperbolic_metric(q, a, b)
+        yield (abs(geometry.hyperbolic_metric(image, da, db) - ghat)
+               / _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b),
+               allowed)
 
 
 def check_origin_noninvariance(config, rng):
@@ -486,14 +500,19 @@ def check_origin_noninvariance(config, rng):
 
 
 def _check_representation(config, rng, tensor):
-    allowed = 1e-11 * _rtol_scale(config)
     fns = {"G": geometry.slice_riemannian, "H": geometry.slice_hermitian,
            "Omega": geometry.slice_kahler}
     direct = fns[tensor]
-    rel = _rel_s if tensor == "G" else _rel_q
-    for q, a, b, u in _blocks(config.samples, lambda: _triple_and_unit(rng)):
+    allowed = (2e-12 if tensor == "G" else 1e-11) * _rtol_scale(config)
+    for q, a, b, u in _blocks(config.samples,
+                              lambda: _triple_and_unit(config, rng)):
+        lhs = direct(q, a, b)
         rhs = geometry.representation_transform(u, tensor, q, a, b)
-        yield from _pairs(rel(direct(q, a, b), rhs), allowed)
+        if tensor == "G":
+            error = abs(lhs - rhs) / _cauchy_schwarz(direct, q, a, b)
+        else:
+            error = _rel_q(lhs, rhs)
+        yield from _pairs(error, allowed)
 
 
 def check_representation_riemannian(config, rng):
@@ -509,15 +528,17 @@ def check_representation_kahler(config, rng):
 
 
 def check_slice_restriction_metric(config, rng):
-    allowed = 1e-11 * _rtol_scale(config)
+    allowed = 1e-13 * _rtol_scale(config)
     for _ in range(config.samples):
         unit = random_imaginary_unit(rng)
         q = _slice_point(rng, unit, 0.9)
         a = _slice_tangent(rng, unit)
         b = _slice_tangent(rng, unit)
         g_i = geometry.slice_restriction_metric(unit, q, a, b)
-        yield _rel_s(g_i, geometry.slice_riemannian(q, a, b)), allowed
-        yield _rel_s(g_i, geometry.hyperbolic_metric(q, a, b)), allowed
+        # on the slice G and Ghat agree, and so do their scales
+        scale = _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b)
+        yield abs(g_i - geometry.slice_riemannian(q, a, b)) / scale, allowed
+        yield abs(g_i - geometry.hyperbolic_metric(q, a, b)) / scale, allowed
 
 
 def check_slice_restriction_kahler(config, rng):
@@ -598,18 +619,28 @@ def check_delta_triangle(config, rng):
         yield max(0.0, dpr - dpq - dqr), allowed
 
 
-def check_infinitesimal_slice_ratio(config, rng):
+def _infinitesimal_ratios(config, draw):
     allowed = 1e-4 * _rtol_scale(config)
     for _ in range(max(3, config.samples // 50)):
-        unit = random_imaginary_unit(rng)
-        q = _slice_point(rng, unit, 0.8)
-        a = _slice_tangent(rng, unit)
+        q, a = draw()
         if abs(a) < 1e-3:
             continue
         probe = hardy.infinitesimal_ratio(q, a)
         if not probe.conclusive:
             yield math.inf, 1.0
         yield abs(probe.ratio - 1.0), allowed
+
+
+def check_infinitesimal_slice_ratio(config, rng):
+    def draw():
+        unit = random_imaginary_unit(rng)
+        return _slice_point(rng, unit, 0.8), _slice_tangent(rng, unit)
+    return _infinitesimal_ratios(config, draw)
+
+
+def check_infinitesimal_ratio(config, rng):
+    return _infinitesimal_ratios(
+        config, lambda: (_ball(rng, 0.8), random_tangent(rng)))
 
 
 # -------------------------------------------------------------- registry
@@ -744,6 +775,9 @@ CHECKS = [
     CheckDef("hardy", "infinitesimal-slice-ratio",
              "on slices the infinitesimal form of delta is the split "
              "tangent norm", check_infinitesimal_slice_ratio),
+    CheckDef("hardy", "infinitesimal-ratio",
+             "in every tangent direction the infinitesimal form of delta "
+             "is sqrt(G)", check_infinitesimal_ratio),
 ]
 
 

@@ -146,13 +146,13 @@ def test_infinitesimal_ratio_generic_slice(rng):
         assert abs(probe.ratio - 1.0) <= 1e-4
 
 
-def test_infinitesimal_ratio_off_slice_reports_only():
-    # transverse direction: the limit exists but is not claimed to equal
-    # the split norm, so the probe only reports both values
+def test_infinitesimal_ratio_off_slice():
+    # transverse direction: the limit is sqrt(G) here too
     q = Quaternion(0.0, 0.5, 0.0, 0.0)
     probe = infinitesimal_ratio(q, J)
     assert abs(probe.norm - 0.8) <= 1e-12
-    assert probe.limit > 0.0
+    assert probe.conclusive
+    assert abs(probe.ratio - 1.0) <= 1e-4
     assert len(probe.step_values) == 4
 
 

@@ -48,6 +48,13 @@ def test_each_matrix_relation_is_named():
         assert A.is_valid(residual) and not A.is_valid(residual - 1e-3)
 
 
+def test_nan_entry_breaks_a_relation():
+    A = SpOneOneMatrix(ONE, ZERO, Quaternion(0.0, math.nan, 0.0, 0.0), ONE)
+    assert math.isnan(A.residual())
+    assert not A.is_valid()
+    assert A.violated_relation(1e-10) == "|d|^2 - |c|^2 = 1"
+
+
 def test_random_sp11_satisfies_relations(rng):
     for _ in range(100):
         A = random_sp11(rng)

@@ -109,6 +109,15 @@ def test_batched_helpers_equal_scalar_calls(rng):
     assert type(Quaternion(0.1, 0.2, 0.3, 0.4).im_norm()) is float
 
 
+@pytest.mark.parametrize("component", range(4))
+def test_max_component_diff_is_nan_when_a_component_is(component):
+    c = [0.0, 0.0, 0.0, 0.0]
+    c[component] = math.nan
+    assert math.isnan(max_component_diff(Quaternion(*c), Quaternion()))
+    c[(component + 1) % 4] = math.inf
+    assert math.isnan(max_component_diff(Quaternion(), Quaternion(*c)))
+
+
 def test_project_slice_spot():
     par, perp = project_slice(I, Quaternion(2.0, 3.0, 4.0, 5.0))
     assert_qclose(par, Quaternion(2.0, 3.0, 0.0, 0.0))

@@ -160,7 +160,7 @@ def _loop_hermitian_u_independent(config, rng):
     inner = max(2, config.samples // 20)
     allowed = 1e-11 * verify._rtol_scale(config)
     for _ in range(config.samples):
-        q, a, b = verify._tangent_triple(rng)
+        q, a, b = verify._tangent_triple(config, rng)
         ref = geometry.slice_hermitian_via_definition(q, a, b, ONE)
         scale = max(abs(ref), 1e-12)
         for _ in range(inner):
@@ -172,7 +172,7 @@ def _loop_hermitian_u_independent(config, rng):
 def _loop_hermitian_closed_form(config, rng):
     allowed = 1e-11 * verify._rtol_scale(config)
     for _ in range(config.samples):
-        q, a, b = verify._tangent_triple(rng)
+        q, a, b = verify._tangent_triple(config, rng)
         u = random_unit_quaternion(rng)
         yield (_rel_q(geometry.slice_hermitian_via_definition(q, a, b, u),
                       geometry.slice_hermitian(q, a, b)), allowed)
@@ -181,7 +181,7 @@ def _loop_hermitian_closed_form(config, rng):
 def _loop_riemannian_triple(config, rng):
     allowed = 1e-13 * verify._rtol_scale(config)
     for _ in range(config.samples * 10):
-        q, a, b = verify._tangent_triple(rng)
+        q, a, b = verify._tangent_triple(config, rng)
         closed = geometry.slice_riemannian(q, a, b, "closed")
         corrected = geometry.slice_riemannian(q, a, b, "corrected")
         via_h = geometry.slice_riemannian(q, a, b, "via-h")
@@ -210,7 +210,7 @@ def _loop_split_scalar_identity(config, rng):
 
 def _loop_hermitian_symmetric(config, rng):
     for _ in range(config.samples):
-        q, a, b = verify._tangent_triple(rng)
+        q, a, b = verify._tangent_triple(config, rng)
         hab = geometry.slice_hermitian(q, a, b)
         hba = geometry.slice_hermitian(q, b, a)
         yield (max_component_diff(hab, hba.conj()),
@@ -219,7 +219,7 @@ def _loop_hermitian_symmetric(config, rng):
 
 def _loop_decomposition(config, rng):
     for _ in range(config.samples):
-        q, a, b = verify._tangent_triple(rng)
+        q, a, b = verify._tangent_triple(config, rng)
         tv = geometry.tensor_value(q, a, b)
         g_closed = geometry.slice_riemannian(q, a, b, "closed")
         recon = Quaternion(g_closed, 0, 0, 0) + tv.omega
@@ -229,7 +229,7 @@ def _loop_decomposition(config, rng):
 
 def _loop_kahler_antisymmetric(config, rng):
     for _ in range(config.samples):
-        q, a, b = verify._tangent_triple(rng)
+        q, a, b = verify._tangent_triple(config, rng)
         oab = geometry.slice_kahler(q, a, b)
         oba = geometry.slice_kahler(q, b, a)
         yield (max_component_diff(oab, -oba),
@@ -241,14 +241,16 @@ def _loop_representation(tensor):
               "Omega": geometry.slice_kahler}[tensor]
 
     def loop(config, rng):
-        allowed = 1e-11 * verify._rtol_scale(config)
+        allowed = (2e-12 if tensor == "G" else 1e-11) \
+            * verify._rtol_scale(config)
         for _ in range(config.samples):
-            q, a, b = verify._tangent_triple(rng)
+            q, a, b = verify._tangent_triple(config, rng)
             u = random_unit_quaternion(rng)
             lhs = direct(q, a, b)
             rhs = geometry.representation_transform(u, tensor, q, a, b)
             if tensor == "G":
-                yield _rel_s(lhs, rhs), allowed
+                scale = math.sqrt(direct(q, a, a) * direct(q, b, b))
+                yield abs(lhs - rhs) / scale, allowed
             else:
                 yield _rel_q(lhs, rhs), allowed
     return loop
@@ -296,3 +298,11 @@ def test_blocks_yield_the_pairs_of_the_per_draw_loop(monkeypatch, name,
 def test_riemannian_triple_agreement_passes_at_default_samples():
     (r,) = run_checks(RunConfig(seed=7), "geometry/riemannian-triple-agreement")
     assert r.passed and r.samples == 20000
+
+
+def test_representation_riemannian_passes_at_default_samples():
+    # seed 33 failed while G was measured against |G(a, b)| itself
+    for seed in range(1, 41):
+        (r,) = run_checks(RunConfig(seed=seed),
+                          "geometry/representation-riemannian")
+        assert r.passed and r.samples == 1000, (seed, r.max_error)
