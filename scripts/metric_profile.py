@@ -41,14 +41,14 @@ def perp_direction(unit):
     raise AssertionError("no transverse direction found")
 
 
-def compare_distances(unit, pairs, tol):
+def compare_distances(unit, pairs):
     print("\n# geodesic estimates vs kernel distance on the slice")
     print("%22s %12s %12s %12s" % ("pair", "atanh(delta)", "Ghat-geo",
                                    "G-geo"))
     for x0, y0, x1, y1 in pairs:
         p = Quaternion(x0) + y0 * unit
         q = Quaternion(x1) + y1 * unit
-        d = delta(p, q, tol)
+        d = delta(p, q)
         ghat = distance_estimate(p, q, metric="Ghat")
         g = distance_estimate(p, q, metric="G")
         label = "(%.2f,%.2f)-(%.2f,%.2f)" % (x0, y0, x1, y1)
@@ -63,7 +63,6 @@ def main():
                         help="ray angle inside the slice plane")
     parser.add_argument("--rmax", type=float, default=0.95)
     parser.add_argument("--steps", type=int, default=12)
-    parser.add_argument("--tol", type=float, default=1e-10)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -77,7 +76,7 @@ def main():
         print("%12s |.|_q^2 = %.6f" % (label, arcozzi_sarfatti_norm(q, v)))
 
     compare_distances(unit, [(0.0, 0.0, 0.5, 0.0), (0.5, 0.0, 0.0, 0.5),
-                             (-0.3, 0.2, 0.4, 0.4)], args.tol)
+                             (-0.3, 0.2, 0.4, 0.4)])
 
 
 if __name__ == "__main__":

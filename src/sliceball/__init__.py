@@ -19,7 +19,7 @@ from .geometry import (DistanceResult, NoninvarianceReport, TensorValue,
                        slice_hermitian_via_definition, slice_kahler,
                        slice_restriction_kahler, slice_restriction_metric,
                        slice_riemannian, tensor_value)
-from .hardy import (InfinitesimalProbe, KernelTruncation, delta, delta_detail,
+from .hardy import (InfinitesimalProbe, KernelTruncation, delta,
                     infinitesimal_ratio, kernel_inner, kernel_norm_sq,
                     tail_bound, truncation_for)
 from .mobius import (RegularMobius, SpOneOneMatrix, classical_apply,
@@ -48,7 +48,7 @@ __all__ = [
     "SingularValueError", "SliceCoords", "SpOneOneMatrix", "TensorValue",
     "ZERO", "arcozzi_sarfatti_norm",
     "as_imaginary_unit", "classical_apply", "classical_differential",
-    "conjugation_cu", "curve_length", "delta", "delta_detail",
+    "conjugation_cu", "curve_length", "delta",
     "distance_estimate", "hyperbolic_metric", "infinitesimal_ratio",
     "is_imaginary_unit", "kahler_rank", "kernel_inner", "kernel_norm_sq",
     "matrix_regular_apply", "matrix_regular_differential",

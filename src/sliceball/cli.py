@@ -25,7 +25,7 @@ from .config import RunConfig
 from .errors import (ConversionError, DomainError, PreconditionError,
                      SingularValueError)
 from .geometry import hyperbolic_metric, tensor_value
-from .hardy import delta, delta_detail
+from .hardy import delta
 from .mobius import (RegularMobius, SpOneOneMatrix, classical_apply,
                      matrix_regular_apply, regular_apply)
 from .quat import ZERO, Quaternion, as_imaginary_unit
@@ -158,7 +158,6 @@ def _grid_coords(n):
 
 
 def cmd_sample_field(args):
-    config = RunConfig(delta_tol=args.tol)
     unit = as_imaginary_unit(_parse_quat(args.slice, "--slice"))
     offset = _parse_quat(args.offset, "--offset") if args.offset else None
     alpha = _parse_quat(args.alpha, "--alpha")
@@ -175,17 +174,14 @@ def cmd_sample_field(args):
     if offset is not None:
         grid = grid + offset
     # i and j are the x and y grid lines of each row, in x-major order
-    i, j = np.nonzero(abs(grid) < 1.0 - config.boundary_margin)
+    i, j = np.nonzero(abs(grid) < 1.0 - RunConfig.boundary_margin)
     q = Quaternion(grid.w[i, 0], grid.x[0, j], grid.y[0, j], grid.z[0, j])
 
     # each row is q, the alpha/beta pair, then `repeat` copies of the
     # distinct values: the G and Omega columns repeat H = G + Omega
     pair, repeat = (), 1
     if args.tensor == "delta0":
-        # delta has no batched form yet: one call per point
-        points = zip(*(c.tolist() for c in q.components()))
-        values = (np.array([delta(ZERO, Quaternion(*p), config.delta_tol)
-                            for p in points]),)
+        values = (delta(ZERO, q),)
     else:
         pair = alpha.components() + beta.components()
         if args.tensor == "Ghat":
@@ -258,10 +254,7 @@ def cmd_distance(args):
     q = _parse_quat(args.q, "--q")
     if abs(p) >= 1.0 or abs(q) >= 1.0:
         raise UsageError("both points must lie in the open unit ball")
-    d, trunc = delta_detail(p, q, args.tol)
-    payload = {"delta": d, "N_used": trunc.order,
-               "tail_bound": trunc.tail_bound}
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit(json.dumps({"delta": delta(p, q)}) + "\n", args.out)
     return 0
 
 
@@ -299,7 +292,7 @@ _SHARED_FLAGS = {
                    % (_ENV_SEED, RunConfig.seed)),
     "--samples": dict(type=int, default=RunConfig.samples),
     "--tol": dict(type=float, default=RunConfig.delta_tol,
-                  help="distance tolerance"),
+                  help="bound of the hardy delta checks"),
     "--atol": dict(type=float, default=RunConfig.atol),
     "--rtol": dict(type=float, default=RunConfig.rtol),
     "--truncation": dict(type=int, default=RunConfig.truncation),
@@ -336,7 +329,7 @@ def build_parser():
     p.add_argument("--grid", type=int, default=16,
                    help="interior lattice points per axis")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_shared(p, "--tol", "--out")
+    _add_shared(p, "--out")
     p.set_defaults(handler=cmd_sample_field)
 
     p = sub.add_parser("transform", help="apply a ball transformation")
@@ -352,7 +345,7 @@ def build_parser():
     p = sub.add_parser("distance", help="pseudo-hyperbolic distance")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    _add_shared(p, "--tol", "--out")
+    _add_shared(p, "--out")
     p.set_defaults(handler=cmd_distance)
 
     p = sub.add_parser("series", help="operate on power series")

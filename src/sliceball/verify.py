@@ -574,49 +574,55 @@ def check_distance_self(config, rng):
 
 # ---------------------------------------------------------------- hardy
 
+def _ball_blocks(config, rng, count, points):
+    """_blocks of count draws, each of `points` points uniform in the
+    ball |q| <= 1 - boundary_margin."""
+    return _blocks(count, lambda: tuple(
+        random_ball_point(rng, config.boundary_margin)
+        for _ in range(points)))
+
+
 def check_delta_origin(config, rng):
     allowed = 1e-10 * _rtol_scale(config)
-    for _ in range(config.samples):
-        q = random_ball_point(rng, config.boundary_margin)
-        yield abs(hardy.delta(ZERO, q, config.delta_tol) - abs(q)), allowed
+    for (q,) in _ball_blocks(config, rng, config.samples, 1):
+        yield from _pairs(abs(hardy.delta(ZERO, q) - abs(q)), allowed)
 
 
 def check_delta_symmetric(config, rng):
-    for _ in range(config.samples):
-        p, q = _ball(rng, 0.9), _ball(rng, 0.9)
-        yield (abs(hardy.delta(p, q, config.delta_tol)
-                   - hardy.delta(q, p, config.delta_tol)),
-               2.0 * config.delta_tol)
+    for p, q in _ball_blocks(config, rng, config.samples, 2):
+        yield from _pairs(abs(hardy.delta(p, q) - hardy.delta(q, p)),
+                          2.0 * config.delta_tol)
 
 
 def check_delta_range(config, rng):
-    for _ in range(config.samples):
-        p, q = _ball(rng, 0.9), _ball(rng, 0.9)
-        d = hardy.delta(p, q, config.delta_tol)
-        yield max(-d, d - 1.0, 0.0), 1e-15
+    for p, q in _ball_blocks(config, rng, config.samples, 2):
+        d = hardy.delta(p, q)
+        yield from _pairs(np.maximum(np.maximum(-d, d - 1.0), 0.0), 1e-15)
 
 
 def check_delta_slice_form(config, rng):
     allowed = 1e-9 * _rtol_scale(config)
-    for _ in range(config.samples):
+
+    def draw():
         unit = random_imaginary_unit(rng)
-        p = _slice_point(rng, unit, 0.9)
-        q = _slice_point(rng, unit, 0.9)
-        zp = slice_decompose(p).as_complex()
-        zq = slice_decompose(q).as_complex()
-        # points share a slice, so the classical disk formula applies
-        closed = abs(zp - zq) / abs(1.0 - zq * zp.conjugate())
-        yield abs(hardy.delta(p, q, config.delta_tol) - closed), allowed
+        return _slice_point(rng, unit, 0.9), _slice_point(rng, unit, 0.9)
+    for p, q in _blocks(config.samples, draw):
+        sp, sq = slice_decompose(p), slice_decompose(q)
+        # points share a slice, so the classical disk formula
+        # |zq - zp| / |1 - zq conj(zp)| applies; in real arithmetic,
+        # since numpy's complex product and abs round unlike Python's
+        dx, dy = sq.x - sp.x, sq.y - sp.y
+        re = 1.0 - (sq.x * sp.x + sq.y * sp.y)
+        im = sq.y * sp.x - sq.x * sp.y
+        closed = np.sqrt((dx * dx + dy * dy) / (re * re + im * im))
+        yield from _pairs(abs(hardy.delta(p, q) - closed), allowed)
 
 
 def check_delta_triangle(config, rng):
     allowed = 4.0 * config.delta_tol
-    for _ in range(config.samples * 10):
-        p, q, r = _ball(rng, 0.9), _ball(rng, 0.9), _ball(rng, 0.9)
-        dpr = hardy.delta(p, r, config.delta_tol)
-        dpq = hardy.delta(p, q, config.delta_tol)
-        dqr = hardy.delta(q, r, config.delta_tol)
-        yield max(0.0, dpr - dpq - dqr), allowed
+    for p, q, r in _ball_blocks(config, rng, config.samples * 10, 3):
+        excess = hardy.delta(p, r) - hardy.delta(p, q) - hardy.delta(q, r)
+        yield from _pairs(np.maximum(excess, 0.0), allowed)
 
 
 def _infinitesimal_ratios(config, draw):

@@ -94,14 +94,14 @@ def test_criterion_08_slice_restrictions():
 
 def test_criterion_09_hardy_distance():
     _check(9, "hardy/delta-origin", 1000)
+    _check(9, "hardy/delta-symmetric", 10_000, samples=10_000)
+    _check(9, "hardy/delta-triangle", 10_000)
     _check(9, "hardy/infinitesimal-slice-ratio", 20)
     _check(9, "hardy/infinitesimal-ratio", 20)
 
+    # direct: delta-slice-form draws |p|, |q| <= 0.9, and this loop
+    # reaches |p| = 0.99
     rng = np.random.default_rng(109)
-    tol = 1e-10
-
-    # direct: the delta checks draw |p|, |q| <= 0.9, and these loops
-    # reach |p| = 0.99 (same slice) and 0.999 (symmetry, triangle)
     worst = 0.0
     for _ in range(1000):
         unit = random_imaginary_unit(rng)
@@ -110,19 +110,8 @@ def test_criterion_09_hardy_distance():
         q = Quaternion(xq) + yq * unit
         zp, zq = complex(xp, yp), complex(xq, yq)
         want = abs(zp - zq) / abs(1.0 - zq * zp.conjugate())
-        worst = max(worst, abs(delta(p, q, tol) - want))
+        worst = max(worst, abs(delta(p, q) - want))
     _report(9, "delta same-slice closed form", worst, 1e-9)
-
-    worst_sym = 0.0
-    worst_tri = 0.0
-    for _ in range(10_000):
-        p, q, r = (random_ball_point(rng) for _ in range(3))
-        d_pq = delta(p, q, tol)
-        worst_sym = max(worst_sym, abs(d_pq - delta(q, p, tol)))
-        worst_tri = max(worst_tri,
-                        d_pq - delta(p, r, tol) - delta(r, q, tol))
-    _report(9, "delta symmetry", worst_sym, 2 * tol)
-    _report(9, "delta triangle inequality", worst_tri, 4 * tol)
 
 
 def test_criterion_10_series_algebra():

@@ -223,7 +223,7 @@ def _reference_sample_field(argv):
                 continue
             row = (f(q.w), f(q.x), f(q.y), f(q.z))
             if args.tensor == "delta0":
-                row += (f(delta(ZERO, q, args.tol)),)
+                row += (f(delta(ZERO, q)),)
             elif args.tensor == "Ghat":
                 row += pair + (f(hyperbolic_metric(q, alpha, beta)),)
             else:
@@ -250,7 +250,11 @@ _FIELD_FLAGS = ["--offset", "[0,0,0.1,0]", "--slice", "[0,0.6,0,0.8]",
 @pytest.mark.parametrize("flags", [
     ["--grid", "40"] + _FIELD_FLAGS,
     ["--grid", "1", "--offset", "[1,0,0,0]"],
-], ids=["grid40", "all-outside"])
+    # an odd grid has a line of points on the real axis, and with this
+    # offset within EPS_ZERO of it
+    ["--grid", "41"],
+    ["--grid", "41", "--offset", "[0,0,5e-14,0]"],
+], ids=["grid40", "all-outside", "grid41-axis", "grid41-near-axis"])
 def test_sample_field_matches_pointwise_reference(capsys, fmt, tensor,
                                                   flags):
     argv = ["sample-field", "--tensor", tensor, "--format", fmt] + flags
@@ -327,9 +331,17 @@ def test_distance(capsys):
                        "--q", "[0,0.3,0.4,0]")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["delta"]
     assert abs(payload["delta"] - 0.5) <= 1e-12
-    assert payload["N_used"] >= 0
-    assert payload["tail_bound"] >= 0.0
+    # 1 - |p| = 1 - |q| = 1e-9, beyond where a truncated kernel sum ran
+    # out of terms; p = r i and q = r share a slice, so delta is the disk
+    # distance |r - r i| / |1 + r^2 i|
+    r = 0.999999999
+    code, out, _ = run(capsys, "distance", "--p", "[0,%r,0,0]" % r,
+                       "--q", "[%r,0,0,0]" % r)
+    assert code == 0
+    want = r * math.sqrt(2.0) / math.sqrt(1.0 + r ** 4)
+    assert abs(json.loads(out)["delta"] - want) <= 1e-15
     code, _, err = run(capsys, "distance", "--p", "[1,0,0,0]",
                        "--q", "[0,0,0,0]")
     assert code == 2
@@ -385,11 +397,12 @@ _BASE_ARGV = {
     "series": ["series", "conjugate", "--f", '{"coeffs": [[1,0,0,0]]}'],
 }
 _REMOVED_FLAGS = {
-    "sample-field": ["--seed", "--samples", "--atol", "--rtol",
+    "sample-field": ["--seed", "--samples", "--tol", "--atol", "--rtol",
                      "--truncation"],
     "transform": ["--seed", "--samples", "--tol", "--atol", "--rtol",
                   "--truncation"],
-    "distance": ["--seed", "--samples", "--atol", "--rtol", "--truncation"],
+    "distance": ["--seed", "--samples", "--tol", "--atol", "--rtol",
+                 "--truncation"],
     "series": ["--seed", "--samples", "--tol", "--atol", "--rtol"],
 }
 
@@ -415,12 +428,12 @@ def test_cli_settable_values():
         "verify": ["pattern", "seed", "samples", "tol", "atol", "rtol",
                    "truncation", "out"],
         "sample-field": ["tensor", "slice", "offset", "alpha", "beta",
-                         "grid", "format", "tol", "out"],
+                         "grid", "format", "out"],
         "transform": ["matrix", "canonical", "q", "mode", "out"],
-        "distance": ["p", "q", "tol", "out"],
+        "distance": ["p", "q", "out"],
         "series": ["op", "f", "g", "q", "truncation", "out"],
     }
-    assert sum(map(len, settable.values())) == 32
+    assert sum(map(len, settable.values())) == 30
 
 
 @pytest.mark.parametrize("value", ["[0,0,true,0]", "[0,NaN,0,0]",

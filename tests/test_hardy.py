@@ -1,15 +1,15 @@
-import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_qclose
-from sliceball import (DomainError, I, J, ONE, PreconditionError, Quaternion,
-                       arcozzi_sarfatti_norm, delta, delta_detail,
-                       infinitesimal_ratio, kernel_inner, kernel_norm_sq,
-                       random_ball_point, random_imaginary_unit, tail_bound,
-                       truncation_for)
+from sliceball import (EPS_ZERO, ZERO, DomainError, J, ONE, PreconditionError,
+                       Quaternion, delta, infinitesimal_ratio, kernel_inner,
+                       kernel_norm_sq, random_ball_point,
+                       random_imaginary_unit, tail_bound, truncation_for)
 
 TOL = 1e-10
 
@@ -75,8 +75,8 @@ def test_truncation_unreachable():
 def test_delta_origin_radius(rng):
     for _ in range(200):
         q = random_ball_point(rng)
-        assert abs(delta(Quaternion(), q, TOL) - abs(q)) <= TOL
-    got = delta(Quaternion(), Quaternion(0.0, 0.3, 0.4, 0.0), TOL)
+        assert abs(delta(Quaternion(), q) - abs(q)) <= TOL
+    got = delta(Quaternion(), Quaternion(0.0, 0.3, 0.4, 0.0))
     assert abs(got - 0.5) <= 1e-12
 
 
@@ -84,11 +84,11 @@ def test_delta_symmetry_and_range(rng):
     for _ in range(200):
         p = random_ball_point(rng)
         q = random_ball_point(rng)
-        d_pq = delta(p, q, TOL)
-        d_qp = delta(q, p, TOL)
+        d_pq = delta(p, q)
+        d_qp = delta(q, p)
         assert abs(d_pq - d_qp) <= 2 * TOL
         assert 0.0 <= d_pq < 1.0
-    assert delta(Quaternion(0.4), Quaternion(0.4), TOL) <= TOL
+    assert delta(Quaternion(0.4), Quaternion(0.4)) == 0.0
 
 
 def test_delta_same_slice_closed_form(rng):
@@ -100,26 +100,116 @@ def test_delta_same_slice_closed_form(rng):
         q = Quaternion(xq) + yq * unit
         zp, zq = complex(xp, yp), complex(xq, yq)
         want = abs(zp - zq) / abs(1.0 - zq * zp.conjugate())
-        assert abs(delta(p, q, TOL) - want) <= 1e-9
+        assert abs(delta(p, q) - want) <= 1e-9
 
 
 def test_delta_triangle(rng):
     for _ in range(500):
         p, q, r = (random_ball_point(rng) for _ in range(3))
-        d_pq = delta(p, q, TOL)
-        d_pr = delta(p, r, TOL)
-        d_rq = delta(r, q, TOL)
+        d_pq = delta(p, q)
+        d_pr = delta(p, r)
+        d_rq = delta(r, q)
         assert d_pq <= d_pr + d_rq + 4 * TOL
 
 
-def test_delta_detail_reports_truncation():
-    p = Quaternion(0.5)
-    q = Quaternion(0.0, 0.5, 0.0, 0.0)
-    d, trunc = delta_detail(p, q, 1e-10)
-    assert 0.0 < d < 1.0
-    assert trunc.order >= 1
-    assert trunc.tail_bound <= 0.25 * (1e-10) ** 2
-    assert abs(delta(p, q, 1e-10) - d) <= 1e-15
+def test_delta_matches_truncated_kernel_sum(rng):
+    # the direct-sum reference: 1 - |<k_p, k_q>|^2 / (||k_p||^2 ||k_q||^2)
+    # with the kernel pairing summed until its tail is below 1e-14
+    for _ in range(200):
+        p = random_ball_point(rng, 0.1)
+        q = random_ball_point(rng, 0.1)
+        inner = kernel_inner(p, q, truncation_for(p, q, 1e-14).order)
+        cos_sq = inner.norm_sq() / (kernel_norm_sq(p) * kernel_norm_sq(q))
+        assert abs(delta(p, q) - math.sqrt(1.0 - cos_sq)) <= 1e-10
+
+
+# -- accuracy against the 50-digit oracle --------------------------------
+
+def _load_oracle():
+    # the benchmark's closed-form mpmath evaluation, loaded read-only
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("delta_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLE = _load_oracle()
+
+
+def _unit4(rng):
+    g = rng.standard_normal(4)
+    return g / math.sqrt(float(g @ g))
+
+
+def _assert_oracle_accuracy(pairs):
+    for p, q in pairs:
+        err = abs(delta(p, q) - float(ORACLE.delta(p, q)))
+        top = max(abs(p), abs(q))
+        assert err <= 1e-15 / (1.0 - top * top), (p, q, err)
+        if 1.0 - top >= 1e-5:
+            assert err <= 1e-10, (p, q, err)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_delta_matches_oracle_on_boundary_shells(k):
+    # q on the shell 1 - |q| = 10^-k; p on the same shell or anywhere inside
+    gap = 10.0 ** -k
+    rng = np.random.default_rng(k)
+    pairs = []
+    for n in range(16):
+        q = Quaternion(*(_unit4(rng) * (1.0 - gap)).tolist())
+        radius = 1.0 - gap if n % 2 else rng.random() ** 0.25 * (1.0 - gap)
+        pairs.append((Quaternion(*(_unit4(rng) * radius).tolist()), q))
+    _assert_oracle_accuracy(pairs)
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_delta_matches_oracle_on_nearly_equal_pairs(k):
+    # |p - q| = h = 10^-k, with p anywhere up to 1 - |p| = 1e-3
+    h = 10.0 ** -k
+    rng = np.random.default_rng(k)
+    pairs = []
+    while len(pairs) < 16:
+        p = random_ball_point(rng)
+        q = p + Quaternion(*(_unit4(rng) * h).tolist())
+        if abs(q) < 1.0:
+            pairs.append((p, q))
+    _assert_oracle_accuracy(pairs)
+
+
+def _batch(points):
+    return Quaternion(*np.array([q.components() for q in points]).T)
+
+
+def test_batched_delta_equals_scalar_calls_bit_for_bit(rng):
+    n = 10_000
+    ps = [random_ball_point(rng) for _ in range(n)]
+    qs = [random_ball_point(rng) for _ in range(n)]
+    # real-axis points, points within EPS_ZERO of the axis, and one pair
+    # of equal points
+    for k in range(0, 100, 4):
+        ps[k] = Quaternion(ps[k].w)
+        qs[k + 1] = Quaternion(qs[k + 1].w, 0.5 * EPS_ZERO, 0.0,
+                               -0.5 * EPS_ZERO)
+        ps[k + 2] = Quaternion(ps[k + 2].w, 0.0, EPS_ZERO, 0.0)
+        qs[k + 2] = Quaternion(qs[k + 2].w)
+    qs[3] = ps[3]
+    batched = delta(_batch(ps), _batch(qs))
+    assert batched.shape == (n,)
+    assert np.array_equal(batched, [delta(p, q) for p, q in zip(ps, qs)])
+    # one point against a batch
+    assert np.array_equal(delta(ZERO, _batch(qs)),
+                          [delta(ZERO, q) for q in qs])
+
+
+def test_batch_with_a_point_on_the_sphere_is_rejected(rng):
+    qs = [random_ball_point(rng) for _ in range(5)]
+    qs[3] = Quaternion(0.0, 0.6, 0.0, 0.8)
+    with pytest.raises(DomainError):
+        delta(_batch(qs), ZERO)
+    with pytest.raises(DomainError):
+        delta(ZERO, _batch(qs))
 
 
 def test_infinitesimal_ratio_on_slice():

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from sliceball import (ONE, Quaternion, RunConfig, geometry,
+from sliceball import (ONE, ZERO, Quaternion, RunConfig, geometry, hardy,
                        max_component_diff, mobius, random_ball_point,
-                       random_tangent, random_unit_quaternion, run_checks,
+                       random_imaginary_unit, random_tangent,
+                       random_unit_quaternion, run_checks, slice_decompose,
                        verify)
 from sliceball.verify import CHECKS
 
@@ -256,6 +257,53 @@ def _loop_representation(tensor):
     return loop
 
 
+def _loop_delta_origin(config, rng):
+    allowed = 1e-10 * verify._rtol_scale(config)
+    for _ in range(config.samples):
+        q = random_ball_point(rng, config.boundary_margin)
+        yield abs(hardy.delta(ZERO, q) - abs(q)), allowed
+
+
+def _loop_delta_symmetric(config, rng):
+    for _ in range(config.samples):
+        p = random_ball_point(rng, config.boundary_margin)
+        q = random_ball_point(rng, config.boundary_margin)
+        yield (abs(hardy.delta(p, q) - hardy.delta(q, p)),
+               2.0 * config.delta_tol)
+
+
+def _loop_delta_range(config, rng):
+    for _ in range(config.samples):
+        p = random_ball_point(rng, config.boundary_margin)
+        q = random_ball_point(rng, config.boundary_margin)
+        d = hardy.delta(p, q)
+        yield max(-d, d - 1.0, 0.0), 1e-15
+
+
+def _loop_delta_slice_form(config, rng):
+    allowed = 1e-9 * verify._rtol_scale(config)
+    for _ in range(config.samples):
+        unit = random_imaginary_unit(rng)
+        p = verify._slice_point(rng, unit, 0.9)
+        q = verify._slice_point(rng, unit, 0.9)
+        sp, sq = slice_decompose(p), slice_decompose(q)
+        dx, dy = sq.x - sp.x, sq.y - sp.y
+        re = 1.0 - (sq.x * sp.x + sq.y * sp.y)
+        im = sq.y * sp.x - sq.x * sp.y
+        closed = math.sqrt((dx * dx + dy * dy) / (re * re + im * im))
+        yield abs(hardy.delta(p, q) - closed), allowed
+
+
+def _loop_delta_triangle(config, rng):
+    for _ in range(config.samples * 10):
+        p = random_ball_point(rng, config.boundary_margin)
+        q = random_ball_point(rng, config.boundary_margin)
+        r = random_ball_point(rng, config.boundary_margin)
+        yield (max(0.0, hardy.delta(p, r) - hardy.delta(p, q)
+                   - hardy.delta(q, r)),
+               4.0 * config.delta_tol)
+
+
 def _rel_q(v1, v2):
     return max_component_diff(v1, v2) / max(abs(v1), abs(v2), 1e-12)
 
@@ -276,6 +324,11 @@ PER_DRAW_LOOPS = {
     "representation-riemannian": _loop_representation("G"),
     "representation-hermitian": _loop_representation("H"),
     "representation-kahler": _loop_representation("Omega"),
+    "delta-origin": _loop_delta_origin,
+    "delta-symmetric": _loop_delta_symmetric,
+    "delta-range": _loop_delta_range,
+    "delta-slice-form": _loop_delta_slice_form,
+    "delta-triangle": _loop_delta_triangle,
 }
 
 
@@ -288,9 +341,9 @@ def test_blocks_yield_the_pairs_of_the_per_draw_loop(monkeypatch, name,
     monkeypatch.setattr(verify, "_BLOCK", block)
     config = RunConfig(seed=seed, samples=60)
     (check,) = [c for c in CHECKS if c.name == name]
-    batched = list(check.fn(config, verify._rng_for(seed, "geometry", name)))
-    looped = list(PER_DRAW_LOOPS[name](config,
-                                       verify._rng_for(seed, "geometry", name)))
+    batched = list(check.fn(config, verify._rng_for(seed, check.suite, name)))
+    looped = list(PER_DRAW_LOOPS[name](
+        config, verify._rng_for(seed, check.suite, name)))
     assert batched == looped
     assert all(type(e) is float and type(a) is float for e, a in batched)
 
