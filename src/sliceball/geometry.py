@@ -97,6 +97,15 @@ def slice_riemannian(q, alpha, beta, formula="closed"):
                          4 |Im q|^2 Re(perp(a) perp(b)) /
                          (|1 - q^2|^2 (1 - |q|^2)^2),
     formula="via-h"      real part of the Hermitian closed form.
+
+    "corrected" splits Ghat along the slice of q.  Its off-slice part
+    -Re(perp(a) perp(b)) / (1 - |q|^2)^2 and the correction are each
+    O(1 / (1 - |q|^2)^2) and nearly cancel; since |1 - q^2|^2 -
+    4 |Im q|^2 = (1 - |q|^2)^2 they sum to -Re(perp(a) perp(b)) /
+    |1 - q^2|^2, which is evaluated as one term:
+
+        Re(pi(a) conj(pi(b))) / (1 - |q|^2)^2
+            - Re(perp(a) perp(b)) / |1 - q^2|^2.
     """
     _check_base(q)
     if formula == "via-h":
@@ -110,12 +119,12 @@ def slice_riemannian(q, alpha, beta, formula="closed"):
         tb = beta - q * beta * q
         return (ta * tb.conj()).w / (m2 * den2)
     if formula == "corrected":
-        sc = slice_decompose(q)
-        _, pa = project_slice(sc.unit, alpha)
-        _, pb = project_slice(sc.unit, beta)
+        unit = slice_decompose(q).unit
+        par_a, perp_a = project_slice(unit, alpha)
+        par_b, perp_b = project_slice(unit, beta)
         # plain product here, not conj: perp parts anticommute with I
-        corr = 4.0 * sc.y * sc.y * (pa * pb).w / (m2 * den2)
-        return (alpha * beta.conj()).w / den2 + corr
+        return ((par_a * par_b.conj()).w / den2
+                - (perp_a * perp_b).w / m2)
     raise ValueError("formula must be 'closed', 'corrected' or 'via-h'")
 
 
@@ -216,7 +225,8 @@ def kahler_rank(q):
     """Rank of alpha -> Omega_q(alpha, .) paired against the basis.
 
     Stacks the three imaginary components of Omega_q(e_n, e_m) into a
-    12 x 4 real matrix; full rank 4 means nondegeneracy at q.
+    12 x 4 real matrix; full rank 4 means nondegeneracy at q.  For a
+    batch, an integer array with one rank per element.
     """
     rows = []
     for em in _BASIS:
@@ -224,7 +234,10 @@ def kahler_rank(q):
         rows.append([v.x for v in vals])
         rows.append([v.y for v in vals])
         rows.append([v.z for v in vals])
-    return int(np.linalg.matrix_rank(np.array(rows)))
+    # a batch stacks one 12 x 4 matrix per element
+    stack = np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+    ranks = np.linalg.matrix_rank(stack)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 @dataclass(frozen=True)

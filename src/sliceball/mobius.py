@@ -27,7 +27,8 @@ import numpy as np
 
 from .config import DEFAULT_BOUNDARY_MARGIN
 from .errors import ConversionError, DomainError, PreconditionError
-from .quat import I, J, K, ONE, Quaternion, ZERO, max_component_diff
+from .quat import (I, J, K, ONE, Quaternion, ZERO, max_component_diff,
+                   random_unit_quaternion)
 from .series import RegularPowerSeries
 
 _NEWTON_CAP = 100
@@ -57,9 +58,13 @@ class SpOneOneMatrix:
 
     def residual(self):
         """Largest deviation from the three defining relations; NaN when
-        any deviation is NaN."""
+        any deviation is NaN.  Per element for a batch of matrices."""
         devs = self._deviations()
-        return math.nan if any(d != d for d in devs) else max(devs)
+        try:
+            return math.nan if any(d != d for d in devs) else max(devs)
+        except ValueError:
+            # array entries: np.maximum keeps a NaN
+            return np.maximum(np.maximum(devs[0], devs[1]), devs[2])
 
     def is_valid(self, tol=1e-10):
         return self.residual() <= tol
@@ -81,9 +86,15 @@ class SpOneOneMatrix:
         return cls(u, ZERO, ZERO, v)
 
 
+def _outside(q, radius=1.0):
+    # a batch is outside when any element is
+    outside = abs(q) >= radius
+    return outside is not False and (outside is True or outside.any())
+
+
 def classical_apply(A, q):
     """F_A(q) = (qc + d)^{-1} (qa + b)."""
-    if abs(q) >= 1.0:
+    if _outside(q):
         raise DomainError("classical transformation is applied inside the ball")
     return (q * A.c + A.d).inv() * (q * A.a + A.b)
 
@@ -109,7 +120,7 @@ def regular_apply(m, q):
 
         (q^2 |a|^2 - 2 q Re(a) + 1)^{-1} (q^2 a - q (a^2 + 1) + a) u.
     """
-    if abs(q) >= 1.0:
+    if _outside(q):
         raise DomainError("regular transformation is applied inside the ball")
     a = m.a
     q2 = q * q
@@ -131,7 +142,7 @@ def regular_apply_via_series(m, q, margin=DEFAULT_BOUNDARY_MARGIN):
     Uses f^{-*} * g = (1/f^s) . (f^c * g) pointwise: the slice scalar
     f^s(q)^{-1} multiplies the evaluated convolution f^c * g.
     """
-    if abs(q) >= 1.0 - margin:
+    if _outside(q, 1.0 - margin):
         raise DomainError("series evaluation stays a margin inside the ball")
     f, g = _linear_factor_series(m)
     sym = f.symmetrize()
@@ -167,7 +178,7 @@ def matrix_regular_series(A):
 
 def matrix_regular_apply(A, q):
     """Evaluate the regular transformation of a matrix through its series."""
-    if abs(q) >= 1.0:
+    if _outside(q):
         raise DomainError("regular transformation is applied inside the ball")
     sym, num = matrix_regular_series(A)
     return sym.eval(q).inv() * num.eval(q)
@@ -242,7 +253,7 @@ def matrix_to_canonical(A):
 
 def normalize_pair(m1, m2, tol=1e-10):
     """Unit u with m1 = R_u after m2, for canonical maps sharing a zero."""
-    if max_component_diff(m1.a, m2.a) > tol:
+    if np.any(max_component_diff(m1.a, m2.a) > tol):
         raise PreconditionError("canonical forms have different zeros")
     return m2.u.inv() * m1.u
 
@@ -264,18 +275,22 @@ def _require_unit(u):
         raise PreconditionError("expected a unit quaternion, |u| = %g" % abs(u))
 
 
-def random_sp11(rng, max_boost=1.5):
+def random_sp11(rng, max_boost=1.5, size=None):
     """Random ball symmetry via the rotation-boost-rotation factorization.
 
     diag(u1, v1) . [[cosh t, sinh t], [sinh t, cosh t]] . diag(u2, v2)
     with unit quaternions on the diagonals and t uniform on [0, max_boost].
+    size=n gives a batch of n matrices with array Quaternion entries.
     """
-    from .quat import random_unit_quaternion
-    u1 = random_unit_quaternion(rng)
-    v1 = random_unit_quaternion(rng)
-    u2 = random_unit_quaternion(rng)
-    v2 = random_unit_quaternion(rng)
-    t = float(rng.uniform(0.0, max_boost))
-    ch, sh = math.cosh(t), math.sinh(t)
+    u1 = random_unit_quaternion(rng, size)
+    v1 = random_unit_quaternion(rng, size)
+    u2 = random_unit_quaternion(rng, size)
+    v2 = random_unit_quaternion(rng, size)
+    if size is None:
+        t = float(rng.uniform(0.0, max_boost))
+        ch, sh = math.cosh(t), math.sinh(t)
+    else:
+        t = rng.uniform(0.0, max_boost, size)
+        ch, sh = np.cosh(t), np.sinh(t)
     return SpOneOneMatrix(a=(u1 * u2) * ch, c=(u1 * v2) * sh,
                           b=(v1 * u2) * sh, d=(v1 * v2) * ch)

@@ -13,7 +13,8 @@ tensors in geometry) evaluates a batch elementwise with the same
 arithmetic as a scalar call, and a validity check on a batch fails when
 any element fails.  im_norm, max_component_diff and slice_decompose
 also take batches (one value per element, with the scalar rules applied
-to each); comparisons and the samplers take scalars only.
+to each); comparisons take scalars only.  The samplers return one draw,
+or with size=n a batch of n draws.
 
 Values are treated as immutable: all operations return new instances.
 """
@@ -227,20 +228,20 @@ class SliceCoords:
         return complex(self.x, self.y)
 
 
-def slice_decompose(q):
+def slice_decompose(q, zero=EPS_ZERO):
     """Write q = x + y I with y = |Im q| >= 0.
 
-    Real axis points (y <= EPS_ZERO) sit on every slice; the unit
-    defaults to i there and y is clamped to exactly 0.  For a batch the
-    rule holds per element.
+    Real axis points (y <= zero) sit on every slice; the unit defaults
+    to i there and y is clamped to exactly 0.  For a batch the rule
+    holds per element.
     """
     y = q.im_norm()
     try:
-        if y <= EPS_ZERO:
+        if y <= zero:
             return SliceCoords(I, q.w, 0.0)
     except ValueError:
         # a batch: the same rule per element, dividing no element by zero
-        real = y <= EPS_ZERO
+        real = y <= zero
         y = np.where(real, 0.0, y)
         d = np.where(real, 1.0, y)
         unit = Quaternion(np.zeros_like(y), np.where(real, 1.0, q.x / d),
@@ -263,34 +264,48 @@ def project_slice(unit, alpha):
 
 # -- samplers ----------------------------------------------------------
 # All sampling goes through an explicit numpy Generator so runs are
-# reproducible from a seed alone; components are coerced to plain floats.
+# reproducible from a seed alone.  A scalar call returns plain float
+# components; size=n returns an array Quaternion of n draws, made from
+# one standard_normal((n, d)) call (plus random(n) for a radius), far
+# cheaper than n scalar calls.  Only random_tangent's batch equals n
+# scalar calls bit for bit; the other batches draw the same
+# distribution, but use the generator's output in another order or
+# round it differently.
 
-def random_ball_point(rng, margin=DEFAULT_BOUNDARY_MARGIN):
+def random_ball_point(rng, margin=DEFAULT_BOUNDARY_MARGIN, size=None):
     """Uniform draw from the solid ball |q| <= 1 - margin."""
-    v = _unit_vector(rng, 4)
-    r = (1.0 - margin) * rng.random() ** 0.25
+    v = _unit_vectors(rng, 4, size)
+    r = (1.0 - margin) * rng.random(size) ** 0.25
     return Quaternion(r * v[0], r * v[1], r * v[2], r * v[3])
 
 
-def random_imaginary_unit(rng):
-    v = _unit_vector(rng, 3)
-    return Quaternion(0.0, v[0], v[1], v[2])
+def random_imaginary_unit(rng, size=None):
+    v = _unit_vectors(rng, 3, size)
+    return Quaternion(0.0 if size is None else np.zeros(size), *v)
 
 
-def random_unit_quaternion(rng):
-    v = _unit_vector(rng, 4)
-    return Quaternion(v[0], v[1], v[2], v[3])
+def random_unit_quaternion(rng, size=None):
+    return Quaternion(*_unit_vectors(rng, 4, size))
 
 
-def random_tangent(rng):
+def random_tangent(rng, size=None):
     """Standard Gaussian 4-vector, the generic tangent direction."""
-    g = rng.standard_normal(4)
-    return Quaternion(float(g[0]), float(g[1]), float(g[2]), float(g[3]))
+    if size is None:
+        g = rng.standard_normal(4)
+        return Quaternion(float(g[0]), float(g[1]), float(g[2]), float(g[3]))
+    return Quaternion(*np.ascontiguousarray(rng.standard_normal((size, 4)).T))
 
 
-def _unit_vector(rng, dim):
-    while True:
-        g = rng.standard_normal(dim)
-        n = math.sqrt(float(g @ g))
-        if n > 1e-12:
-            return [float(c) / n for c in g]
+def _unit_vectors(rng, dim, size):
+    """One uniform unit vector of R^dim as a list of floats, or with
+    size=n the components of n of them as dim arrays."""
+    if size is None:
+        while True:
+            g = rng.standard_normal(dim)
+            n = math.sqrt(float(g @ g))
+            if n > 1e-12:
+                return [float(c) / n for c in g]
+    # no redraw: a norm at or below 1e-12 has probability below 1e-35
+    g = rng.standard_normal((size, dim))
+    n = np.sqrt(np.einsum("ij,ij->i", g, g))
+    return np.ascontiguousarray((g / n[:, None]).T)

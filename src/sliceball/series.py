@@ -46,7 +46,9 @@ class RegularPowerSeries:
 
     def eval(self, q):
         """Horner evaluation a_0 + q (a_1 + q (a_2 + ...)), |q| < 1."""
-        if abs(q) >= 1.0:
+        # a batch fails when any element lies outside
+        outside = abs(q) >= 1.0
+        if outside is not False and (outside is True or outside.any()):
             raise DomainError("series are functions on the open unit ball")
         acc = self.coeffs[-1]
         for a in reversed(self.coeffs[:-1]):

@@ -10,10 +10,13 @@ relative to their defaults, so tightening either flag makes every
 check strictly harder.
 
 Checks whose formulas are plain quaternion arithmetic draw their inputs
-one at a time with the scalar samplers, in a fixed order, and evaluate
-them in blocks of at most _BLOCK draws as array Quaternions; the pairs
-come out in draw order as Python floats, exactly as a per-draw loop
-would yield them.
+a block of at most _BLOCK draws at a time, one sampler call with size=n
+per value of the draw (_draws), and evaluate each block as array
+Quaternions; the pairs come out in draw order as Python floats, exactly
+as evaluating each element of the block with scalar calls would yield
+them.  Checks whose draws reject samples or branch on the data (and the
+series suite, canonical-roundtrip, injectivity, origin-isotropy and the
+distance checks) draw one value per sampler call.
 """
 from __future__ import annotations
 
@@ -84,14 +87,19 @@ def _cauchy_schwarz(metric, q, a, b):
     return np.sqrt(s) if isinstance(s, np.ndarray) else math.sqrt(s)
 
 
-def _blocks(count, draw):
-    """Call draw() count times and group the draws in blocks of at most
-    _BLOCK; each block is a tuple with one array Quaternion per value a
-    draw returns."""
-    for start in range(0, count, _BLOCK):
-        draws = [draw() for _ in range(min(_BLOCK, count - start))]
-        yield tuple(Quaternion(*np.array([q.components() for q in column]).T)
-                    for column in zip(*draws))
+def _draws(count, draw, block=None):
+    """draw(n) for consecutive blocks of n <= block (default _BLOCK)
+    draws, count draws in all; draw(n) returns one array Quaternion of
+    n elements per value of a draw."""
+    block = block or _BLOCK
+    for start in range(0, count, block):
+        yield draw(min(block, count - start))
+
+
+def _columns(*values):
+    """One row per draw with one column per value, each value an array
+    over the block or one value for all of it."""
+    return np.stack(np.broadcast_arrays(*values), axis=-1)
 
 
 def _pairs(errors, allowed):
@@ -102,9 +110,13 @@ def _pairs(errors, allowed):
     return zip(errors.ravel().tolist(), allowed.ravel().tolist())
 
 
-def _ball(rng, radius):
+def _reshape(q, shape):
+    return Quaternion(*(np.reshape(c, shape) for c in q.components()))
+
+
+def _ball(rng, radius, size=None):
     # uniform in the solid ball of the given radius
-    return random_ball_point(rng, margin=0.0) * radius
+    return random_ball_point(rng, margin=0.0, size=size) * radius
 
 
 def _slice_point(rng, unit, radius):
@@ -115,6 +127,17 @@ def _slice_point(rng, unit, radius):
             return Quaternion(x, y * unit.x, y * unit.y, y * unit.z)
 
 
+def _slice_points(rng, unit, radius):
+    """One point per element of the batch unit, uniform in the half disk
+    x + y unit, x^2 + y^2 < radius^2, y >= 0, in polar coordinates (no
+    rejection, so a block takes one call per coordinate)."""
+    n = len(unit.x)
+    r = radius * np.sqrt(rng.random(n))
+    t = math.pi * rng.random(n)
+    x, y = r * np.cos(t), r * np.sin(t)
+    return Quaternion(x, y * unit.x, y * unit.y, y * unit.z)
+
+
 def _slice_tangent(rng, unit):
     g = rng.standard_normal(2)
     return Quaternion(float(g[0]), float(g[1]) * unit.x,
@@ -123,40 +146,44 @@ def _slice_tangent(rng, unit):
 
 # ----------------------------------------------------------------- quat
 
+def _unit_and_tangent(rng, n):
+    return random_imaginary_unit(rng, size=n), random_tangent(rng, size=n)
+
+
 def check_norm_multiplicative(config, rng):
-    for _ in range(config.samples):
-        p, q = random_tangent(rng), random_tangent(rng)
+    for p, q in _draws(config.samples, lambda n: (
+            random_tangent(rng, size=n), random_tangent(rng, size=n))):
         scale = abs(p) * abs(q)
-        yield (abs(abs(p * q) - scale),
-               1e-12 * max(1.0, scale) * _atol_scale(config))
+        yield from _pairs(abs(abs(p * q) - scale),
+                          1e-12 * _larger(1.0, scale) * _atol_scale(config))
 
 
 def check_projection_resolution(config, rng):
-    for _ in range(config.samples):
-        unit = random_imaginary_unit(rng)
-        a = random_tangent(rng)
+    for unit, a in _draws(config.samples,
+                          lambda n: _unit_and_tangent(rng, n)):
         par, perp = project_slice(unit, a)
-        allowed = config.atol + config.rtol * max(1.0, abs(a))
-        yield max_component_diff(par + perp, a), allowed
-        yield max_component_diff(project_slice(unit, par)[0], par), allowed
-        yield (abs((par * perp.conj()).w),
-               config.atol + config.rtol * max(1.0, a.norm_sq()))
+        allowed = config.atol + config.rtol * _larger(1.0, abs(a))
+        yield from _pairs(
+            _columns(max_component_diff(par + perp, a),
+                     max_component_diff(project_slice(unit, par)[0], par),
+                     abs((par * perp.conj()).w)),
+            _columns(allowed, allowed,
+                     config.atol + config.rtol * _larger(1.0, a.norm_sq())))
 
 
 def check_projection_anticommute(config, rng):
-    for _ in range(config.samples):
-        unit = random_imaginary_unit(rng)
-        a = random_tangent(rng)
+    for unit, a in _draws(config.samples,
+                          lambda n: _unit_and_tangent(rng, n)):
         perp = project_slice(unit, a)[1]
-        yield (max_component_diff(unit * perp, -(perp * unit)),
-               config.atol + config.rtol * max(1.0, abs(a)))
+        yield from _pairs(max_component_diff(unit * perp, -(perp * unit)),
+                          config.atol + config.rtol * _larger(1.0, abs(a)))
 
 
 def check_slice_roundtrip(config, rng):
-    for _ in range(config.samples):
-        q = random_ball_point(rng, config.boundary_margin)
-        yield (max_component_diff(slice_decompose(q).point(), q),
-               1e-14 * _atol_scale(config))
+    for q in _draws(config.samples, lambda n: random_ball_point(
+            rng, config.boundary_margin, size=n)):
+        yield from _pairs(max_component_diff(slice_decompose(q).point(), q),
+                          1e-14 * _atol_scale(config))
 
 
 # --------------------------------------------------------------- series
@@ -241,63 +268,63 @@ def check_reciprocal_residual(config, rng):
 
 # --------------------------------------------------------------- mobius
 
-def _random_canonical(rng, radius=0.9):
-    return mobius.RegularMobius(_ball(rng, radius),
-                                random_unit_quaternion(rng))
+def _random_canonical(rng, radius=0.9, size=None):
+    return mobius.RegularMobius(_ball(rng, radius, size),
+                                random_unit_quaternion(rng, size))
 
 
 def check_generator_valid(config, rng):
-    for _ in range(config.samples):
-        yield mobius.random_sp11(rng).residual(), 1e-12 * _atol_scale(config)
+    for A in _draws(config.samples,
+                    lambda n: mobius.random_sp11(rng, size=n)):
+        yield from _pairs(A.residual(), 1e-12 * _atol_scale(config))
 
 
 def check_ball_preserved(config, rng):
     # allowed is the largest float below 1, so |image| < 1 passes
     below_one = math.nextafter(1.0, 0.0)
-    for _ in range(config.samples):
-        A = mobius.random_sp11(rng)
-        m = _random_canonical(rng)
-        q = random_ball_point(rng, config.boundary_margin)
-        yield abs(mobius.classical_apply(A, q)), below_one
-        yield abs(mobius.regular_apply(m, q)), below_one
+    for A, m, q in _draws(config.samples, lambda n: (
+            mobius.random_sp11(rng, size=n), _random_canonical(rng, size=n),
+            random_ball_point(rng, config.boundary_margin, size=n))):
+        yield from _pairs(_columns(abs(mobius.classical_apply(A, q)),
+                                   abs(mobius.regular_apply(m, q))),
+                          below_one)
 
 
 def check_fixed_points(config, rng):
-    for _ in range(config.samples):
-        m = _random_canonical(rng)
-        q = _ball(rng, 0.9)
-        allowed = config.atol + config.rtol
-        yield abs(mobius.regular_apply(m, m.a)), allowed
-        yield (max_component_diff(mobius.regular_apply(m, ZERO), m.a * m.u),
-               allowed)
+    allowed = config.atol + config.rtol
+    for m, q in _draws(config.samples, lambda n: (
+            _random_canonical(rng, size=n), _ball(rng, 0.9, n))):
         minus_q = mobius.regular_apply(mobius.RegularMobius(ZERO, ONE), q)
-        yield max_component_diff(minus_q, -q), allowed
+        yield from _pairs(
+            _columns(abs(mobius.regular_apply(m, m.a)),
+                     max_component_diff(mobius.regular_apply(m, ZERO),
+                                        m.a * m.u),
+                     max_component_diff(minus_q, -q)),
+            allowed)
 
 
 def check_closed_vs_series(config, rng):
-    for _ in range(config.samples):
-        m = _random_canonical(rng)
-        q = _ball(rng, 0.7)
-        yield (max_component_diff(mobius.regular_apply(m, q),
-                                  mobius.regular_apply_via_series(m, q)),
-               1e-10 * _rtol_scale(config))
+    for m, q in _draws(config.samples, lambda n: (
+            _random_canonical(rng, size=n), _ball(rng, 0.7, n))):
+        yield from _pairs(
+            max_component_diff(mobius.regular_apply(m, q),
+                               mobius.regular_apply_via_series(m, q)),
+            1e-10 * _rtol_scale(config))
 
 
 def check_differential_fd(config, rng, h=1e-5):
     allowed = 1e-6 * _rtol_scale(config)
-    for _ in range(config.samples):
-        q = _ball(rng, 0.9)
-        alpha = random_tangent(rng)
-        m = _random_canonical(rng)
+    for q, alpha, m, A in _draws(config.samples, lambda n: (
+            _ball(rng, 0.9, n), random_tangent(rng, size=n),
+            _random_canonical(rng, size=n), mobius.random_sp11(rng, size=n))):
         ana = mobius.regular_differential(m, q, alpha)
         fd = (mobius.regular_apply(m, q + alpha * h)
               - mobius.regular_apply(m, q - alpha * h)) / (2.0 * h)
-        yield _rel_q(ana, fd), allowed
-        A = mobius.random_sp11(rng)
-        ana = mobius.classical_differential(A, q, alpha)
-        fd = (mobius.classical_apply(A, q + alpha * h)
-              - mobius.classical_apply(A, q - alpha * h)) / (2.0 * h)
-        yield _rel_q(ana, fd), allowed
+        ana_c = mobius.classical_differential(A, q, alpha)
+        fd_c = (mobius.classical_apply(A, q + alpha * h)
+                - mobius.classical_apply(A, q - alpha * h)) / (2.0 * h)
+        yield from _pairs(_columns(_rel_q(ana, fd), _rel_q(ana_c, fd_c)),
+                          allowed)
 
 
 def check_origin_isotropy(config, rng):
@@ -346,45 +373,56 @@ def check_canonical_roundtrip(config, rng):
 
 
 def check_normalize_pair(config, rng):
-    for _ in range(max(10, config.samples // 5)):
-        a = _ball(rng, 0.9)
-        m1 = mobius.RegularMobius(a, random_unit_quaternion(rng))
-        m2 = mobius.RegularMobius(a, random_unit_quaternion(rng))
+    # five points per pair of maps: a row of the block per pair
+    def draw(n):
+        a, u1, u2 = (_reshape(v, (n, 1)) for v in (
+            _ball(rng, 0.9, n), random_unit_quaternion(rng, size=n),
+            random_unit_quaternion(rng, size=n)))
+        return a, u1, u2, _reshape(_ball(rng, 0.9, 5 * n), (n, 5))
+    for a, u1, u2, q in _draws(max(10, config.samples // 5), draw,
+                               max(1, _BLOCK // 5)):
+        m1 = mobius.RegularMobius(a, u1)
+        m2 = mobius.RegularMobius(a, u2)
         u = mobius.normalize_pair(m1, m2)
-        for _ in range(5):
-            q = _ball(rng, 0.9)
-            yield (max_component_diff(mobius.regular_apply(m1, q),
-                                      mobius.regular_apply(m2, q) * u),
-                   1e-12 * _rtol_scale(config))
+        yield from _pairs(max_component_diff(mobius.regular_apply(m1, q),
+                                             mobius.regular_apply(m2, q) * u),
+                          1e-12 * _rtol_scale(config))
 
 
 # ------------------------------------------------------------- geometry
 
-def _tangent_triple(config, rng):
-    return (random_ball_point(rng, config.boundary_margin),
-            random_tangent(rng), random_tangent(rng))
+def _tangent_triple(config, rng, n):
+    return (random_ball_point(rng, config.boundary_margin, size=n),
+            random_tangent(rng, size=n), random_tangent(rng, size=n))
 
 
-def _triple_and_unit(config, rng):
-    return _tangent_triple(config, rng) + (random_unit_quaternion(rng),)
+def _triple_and_unit(config, rng, n):
+    return _tangent_triple(config, rng, n) \
+        + (random_unit_quaternion(rng, size=n),)
 
 
 def check_hermitian_u_independent(config, rng):
     inner = max(2, config.samples // 20)
     allowed = 1e-11 * _rtol_scale(config)
-    for _ in range(config.samples):
-        q, a, b = _tangent_triple(config, rng)
+
+    # a row of the block per triple, holding its inner units
+    def draw(n):
+        triple = tuple(_reshape(v, (n, 1))
+                       for v in _tangent_triple(config, rng, n))
+        return triple + (_reshape(random_unit_quaternion(rng, size=n * inner),
+                                  (n, inner)),)
+    for q, a, b, u in _draws(config.samples, draw,
+                             max(1, _BLOCK // inner)):
         ref = geometry.slice_hermitian_via_definition(q, a, b, ONE)
-        scale = max(abs(ref), 1e-12)
-        for (u,) in _blocks(inner, lambda: (random_unit_quaternion(rng),)):
-            val = geometry.slice_hermitian_via_definition(q, a, b, u)
-            yield from _pairs(max_component_diff(val, ref) / scale, allowed)
+        scale = _larger(abs(ref), 1e-12)
+        val = geometry.slice_hermitian_via_definition(q, a, b, u)
+        yield from _pairs(max_component_diff(val, ref) / scale, allowed)
 
 
 def check_hermitian_closed_form(config, rng):
     allowed = 1e-11 * _rtol_scale(config)
-    for q, a, b, u in _blocks(config.samples,
-                              lambda: _triple_and_unit(config, rng)):
+    for q, a, b, u in _draws(config.samples,
+                             lambda n: _triple_and_unit(config, rng, n)):
         yield from _pairs(
             _rel_q(geometry.slice_hermitian_via_definition(q, a, b, u),
                    geometry.slice_hermitian(q, a, b)), allowed)
@@ -392,30 +430,29 @@ def check_hermitian_closed_form(config, rng):
 
 def check_riemannian_triple(config, rng):
     allowed = 1e-13 * _rtol_scale(config)
-    for q, a, b in _blocks(config.samples * 10,
-                           lambda: _tangent_triple(config, rng)):
+    for q, a, b in _draws(config.samples * 10,
+                          lambda n: _tangent_triple(config, rng, n)):
         closed = geometry.slice_riemannian(q, a, b, "closed")
         corrected = geometry.slice_riemannian(q, a, b, "corrected")
         via_h = geometry.slice_riemannian(q, a, b, "via-h")
         scale = _cauchy_schwarz(geometry.slice_riemannian, q, a, b)
         # two pairs per draw: closed vs corrected, then closed vs via-h
-        errors = np.column_stack((abs(closed - corrected) / scale,
-                                  abs(closed - via_h) / scale))
-        yield from _pairs(errors, allowed)
+        yield from _pairs(_columns(abs(closed - corrected) / scale,
+                                   abs(closed - via_h) / scale), allowed)
 
 
 def check_riemannian_vs_split_norm(config, rng):
     allowed = 1e-11 * _rtol_scale(config)
-    for q, a in _blocks(config.samples * 10,
-                        lambda: (_ball(rng, 0.9), random_tangent(rng))):
+    for q, a in _draws(config.samples * 10, lambda n: (
+            _ball(rng, 0.9, n), random_tangent(rng, size=n))):
         yield from _pairs(_rel_s(geometry.slice_riemannian(q, a, a),
                                  geometry.arcozzi_sarfatti_norm(q, a)),
                           allowed)
 
 
 def check_split_scalar_identity(config, rng):
-    for (q,) in _blocks(config.samples * 10, lambda: (
-            random_ball_point(rng, config.boundary_margin),)):
+    for q in _draws(config.samples * 10, lambda n: random_ball_point(
+            rng, config.boundary_margin, size=n)):
         lhs = (1 - q * q).norm_sq() - 4.0 * q.im.norm_sq()
         # float_power squares with the C library's pow, as float ** 2
         # does; ndarray ** 2 multiplies, which differs from it in the
@@ -425,8 +462,8 @@ def check_split_scalar_identity(config, rng):
 
 
 def check_hermitian_symmetric(config, rng):
-    for q, a, b in _blocks(config.samples,
-                           lambda: _tangent_triple(config, rng)):
+    for q, a, b in _draws(config.samples,
+                          lambda n: _tangent_triple(config, rng, n)):
         hab = geometry.slice_hermitian(q, a, b)
         hba = geometry.slice_hermitian(q, b, a)
         yield from _pairs(max_component_diff(hab, hba.conj()),
@@ -434,18 +471,20 @@ def check_hermitian_symmetric(config, rng):
 
 
 def check_hermitian_positive(config, rng):
-    for _ in range(config.samples):
-        q, a, _ = _tangent_triple(config, rng)
+    # error im_norm, or infinite where the real part is not positive
+    for q, a, _ in _draws(config.samples,
+                          lambda n: _tangent_triple(config, rng, n)):
+        errors, allowed = [], []
         for v in (a, a * 1e-8):
             h = geometry.slice_hermitian(q, v, v)
-            yield h.im_norm(), config.atol + config.rtol * max(1.0, abs(h))
-            if h.w <= 0.0:
-                yield math.inf, 1.0
+            errors.append(np.where(h.w > 0.0, h.im_norm(), math.inf))
+            allowed.append(config.atol + config.rtol * _larger(1.0, abs(h)))
+        yield from _pairs(_columns(*errors), _columns(*allowed))
 
 
 def check_decomposition(config, rng):
-    for q, a, b in _blocks(config.samples,
-                           lambda: _tangent_triple(config, rng)):
+    for q, a, b in _draws(config.samples,
+                          lambda n: _tangent_triple(config, rng, n)):
         tv = geometry.tensor_value(q, a, b)
         g_closed = geometry.slice_riemannian(q, a, b, "closed")
         recon = Quaternion(g_closed, 0, 0, 0) + tv.omega
@@ -454,8 +493,8 @@ def check_decomposition(config, rng):
 
 
 def check_kahler_antisymmetric(config, rng):
-    for q, a, b in _blocks(config.samples,
-                           lambda: _tangent_triple(config, rng)):
+    for q, a, b in _draws(config.samples,
+                          lambda n: _tangent_triple(config, rng, n)):
         oab = geometry.slice_kahler(q, a, b)
         oba = geometry.slice_kahler(q, b, a)
         yield from _pairs(max_component_diff(oab, -oba),
@@ -464,22 +503,22 @@ def check_kahler_antisymmetric(config, rng):
 
 def check_kahler_rank(config, rng):
     # error is the rank deficit, so only full rank passes
-    for _ in range(max(5, config.samples // 10)):
-        yield 4.0 - geometry.kahler_rank(_ball(rng, 0.9)), 0.5
+    for q in _draws(max(5, config.samples // 10),
+                    lambda n: _ball(rng, 0.9, n)):
+        yield from _pairs(4.0 - geometry.kahler_rank(q), 0.5)
 
 
 def check_hyperbolic_invariance(config, rng):
     allowed = 1e-11 * _rtol_scale(config)
-    for _ in range(max(5, config.samples // 5)):
-        A = mobius.random_sp11(rng)
-        q, a, b = _tangent_triple(config, rng)
+    for A, (q, a, b) in _draws(max(5, config.samples // 5), lambda n: (
+            mobius.random_sp11(rng, size=n), _tangent_triple(config, rng, n))):
         image = mobius.classical_apply(A, q)
         da = mobius.classical_differential(A, q, a)
         db = mobius.classical_differential(A, q, b)
         ghat = geometry.hyperbolic_metric(q, a, b)
-        yield (abs(geometry.hyperbolic_metric(image, da, db) - ghat)
-               / _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b),
-               allowed)
+        yield from _pairs(
+            abs(geometry.hyperbolic_metric(image, da, db) - ghat)
+            / _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b), allowed)
 
 
 def check_origin_noninvariance(config, rng):
@@ -489,14 +528,14 @@ def check_origin_noninvariance(config, rng):
     witness = geometry.noninvariance_witness()
     yield math.nextafter(1e-6, math.inf), witness.omega_violation
     allowed = 1e-12 * _atol_scale(config)
-    for _ in range(config.samples):
-        d = random_unit_quaternion(rng)
-        a = random_unit_quaternion(rng)
-        al = random_tangent(rng)
-        be = random_tangent(rng)
+    for d, a, al, be in _draws(config.samples, lambda n: (
+            random_unit_quaternion(rng, size=n),
+            random_unit_quaternion(rng, size=n),
+            random_tangent(rng, size=n), random_tangent(rng, size=n))):
         ta, tb = d.inv() * al * a, d.inv() * be * a
-        scale = max(1.0, abs(al) * abs(be))
-        yield abs((ta * tb.conj()).w - (al * be.conj()).w) / scale, allowed
+        scale = _larger(1.0, abs(al) * abs(be))
+        yield from _pairs(abs((ta * tb.conj()).w - (al * be.conj()).w)
+                          / scale, allowed)
 
 
 def _check_representation(config, rng, tensor):
@@ -504,8 +543,8 @@ def _check_representation(config, rng, tensor):
            "Omega": geometry.slice_kahler}
     direct = fns[tensor]
     allowed = (2e-12 if tensor == "G" else 1e-11) * _rtol_scale(config)
-    for q, a, b, u in _blocks(config.samples,
-                              lambda: _triple_and_unit(config, rng)):
+    for q, a, b, u in _draws(config.samples,
+                             lambda n: _triple_and_unit(config, rng, n)):
         lhs = direct(q, a, b)
         rhs = geometry.representation_transform(u, tensor, q, a, b)
         if tensor == "G":
@@ -542,15 +581,17 @@ def check_slice_restriction_metric(config, rng):
 
 
 def check_slice_restriction_kahler(config, rng):
-    allowed = 1e-11 * _rtol_scale(config)
+    allowed = 1e-13 * _rtol_scale(config)
     for _ in range(config.samples):
         unit = random_imaginary_unit(rng)
         q = _slice_point(rng, unit, 0.9)
         a = _slice_tangent(rng, unit)
         b = _slice_tangent(rng, unit)
         omega_i = geometry.slice_restriction_kahler(unit, q, a, b)
-        yield (_rel_q(geometry.slice_kahler(q, a, b), unit * omega_i),
-               allowed)
+        # |Omega| <= |H_q(a, b)|, which on the slice is Ghat's scale
+        scale = _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b)
+        yield (max_component_diff(geometry.slice_kahler(q, a, b),
+                                  unit * omega_i) / scale, allowed)
 
 
 def check_segment_length(config, rng):
@@ -574,28 +615,28 @@ def check_distance_self(config, rng):
 
 # ---------------------------------------------------------------- hardy
 
-def _ball_blocks(config, rng, count, points):
-    """_blocks of count draws, each of `points` points uniform in the
+def _ball_draws(config, rng, count, points):
+    """_draws of count draws, each of `points` points uniform in the
     ball |q| <= 1 - boundary_margin."""
-    return _blocks(count, lambda: tuple(
-        random_ball_point(rng, config.boundary_margin)
+    return _draws(count, lambda n: tuple(
+        random_ball_point(rng, config.boundary_margin, size=n)
         for _ in range(points)))
 
 
 def check_delta_origin(config, rng):
     allowed = 1e-10 * _rtol_scale(config)
-    for (q,) in _ball_blocks(config, rng, config.samples, 1):
+    for (q,) in _ball_draws(config, rng, config.samples, 1):
         yield from _pairs(abs(hardy.delta(ZERO, q) - abs(q)), allowed)
 
 
 def check_delta_symmetric(config, rng):
-    for p, q in _ball_blocks(config, rng, config.samples, 2):
+    for p, q in _ball_draws(config, rng, config.samples, 2):
         yield from _pairs(abs(hardy.delta(p, q) - hardy.delta(q, p)),
                           2.0 * config.delta_tol)
 
 
 def check_delta_range(config, rng):
-    for p, q in _ball_blocks(config, rng, config.samples, 2):
+    for p, q in _ball_draws(config, rng, config.samples, 2):
         d = hardy.delta(p, q)
         yield from _pairs(np.maximum(np.maximum(-d, d - 1.0), 0.0), 1e-15)
 
@@ -603,10 +644,10 @@ def check_delta_range(config, rng):
 def check_delta_slice_form(config, rng):
     allowed = 1e-9 * _rtol_scale(config)
 
-    def draw():
-        unit = random_imaginary_unit(rng)
-        return _slice_point(rng, unit, 0.9), _slice_point(rng, unit, 0.9)
-    for p, q in _blocks(config.samples, draw):
+    def draw(n):
+        unit = random_imaginary_unit(rng, size=n)
+        return _slice_points(rng, unit, 0.9), _slice_points(rng, unit, 0.9)
+    for p, q in _draws(config.samples, draw):
         sp, sq = slice_decompose(p), slice_decompose(q)
         # points share a slice, so the classical disk formula
         # |zq - zp| / |1 - zq conj(zp)| applies; in real arithmetic,
@@ -620,7 +661,7 @@ def check_delta_slice_form(config, rng):
 
 def check_delta_triangle(config, rng):
     allowed = 4.0 * config.delta_tol
-    for p, q, r in _ball_blocks(config, rng, config.samples * 10, 3):
+    for p, q, r in _ball_draws(config, rng, config.samples * 10, 3):
         excess = hardy.delta(p, r) - hardy.delta(p, q) - hardy.delta(q, r)
         yield from _pairs(np.maximum(excess, 0.0), allowed)
 

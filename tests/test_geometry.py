@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,6 +73,46 @@ def test_riemannian_formulas_agree(rng):
         assert abs(g1 - g3) <= 1e-11 * scale
 
 
+def _mp_riemannian(q, alpha, beta):
+    # G_q(alpha, beta) by the closed form in 50-digit arithmetic, with
+    # the quaternion product from its matrix
+    def vec(v):
+        return mpmath.matrix([mpmath.mpf(c) for c in v.components()])
+
+    def left(v):
+        w, x, y, z = v
+        return mpmath.matrix([[w, -x, -y, -z], [x, w, -z, y],
+                              [y, z, w, -x], [z, -y, x, w]])
+
+    def tilt(v):
+        return v - left(vq) * (left(v) * vq)
+
+    vq = vec(q)
+    ta, tb = tilt(vec(alpha)), tilt(vec(beta))
+    one_minus_q2 = mpmath.matrix([1, 0, 0, 0]) - left(vq) * vq
+    den = 1 - sum(c * c for c in vq)
+    re_ab = sum(x * y for x, y in zip(ta, tb))   # Re(ta conj(tb))
+    return re_ab / (sum(c * c for c in one_minus_q2) * den * den)
+
+
+def test_riemannian_formulas_match_mpmath_at_a_cancelling_witness():
+    # Ghat's off-slice part and the correction of "corrected" each grow
+    # like 1 / (1 - |q|^2)^2 and nearly cancel here; summed separately
+    # they were off by 3.7e-13 of the Cauchy-Schwarz scale
+    q = Quaternion(0.2329259402165015, 0.3033302881281882,
+                   -0.3814054689962534, 0.8174485194750746)
+    a = Quaternion(-0.030469268147029598, 2.220244541760437,
+                   1.380601689510815, -0.1523376163833036)
+    b = Quaternion(-0.022681738546122848, 0.4249951711846484,
+                   1.524761200810051, 0.5810712795978034)
+    with mpmath.workdps(50):
+        want = _mp_riemannian(q, a, b)
+        scale = mpmath.sqrt(_mp_riemannian(q, a, a) * _mp_riemannian(q, b, b))
+        for formula in ("closed", "corrected", "via-h"):
+            got = slice_riemannian(q, a, b, formula)
+            assert abs(got - want) <= 1e-14 * scale, formula
+
+
 def test_riemannian_equals_split_norm(rng):
     for _ in range(300):
         q = random_ball_point(rng)
@@ -133,6 +174,9 @@ def test_kahler_rank_is_full():
     assert kahler_rank(Quaternion(0.3)) == 4
     assert kahler_rank(HALF_I) == 4
     assert kahler_rank(Quaternion(0.2, 0.1, -0.3, 0.2)) == 4
+    # a batch gets one rank per element
+    q = random_ball_point(np.random.default_rng(3), size=50)
+    assert kahler_rank(q).tolist() == [4] * 50
 
 
 def test_hyperbolic_invariance(rng):

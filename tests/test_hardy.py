@@ -178,6 +178,20 @@ def test_delta_matches_oracle_on_nearly_equal_pairs(k):
     _assert_oracle_accuracy(pairs)
 
 
+def test_delta_matches_oracle_next_to_the_real_axis():
+    # imaginary parts far below EPS_ZERO still set the slice units: taking
+    # them as 0 gave delta = 0 for the first pair (oracle 6.7e-13), and
+    # a literal zero threshold put the second off by 2.4e-6, since
+    # |Im p|^2 = 1e-320 is subnormal
+    pairs = [(Quaternion(0.9, 9e-14, 0.0, 0.0),
+              Quaternion(0.9, 0.0, 9e-14, 0.0)),
+             (Quaternion(0.1, 1e-160, 0.0, 0.0), Quaternion(0.9)),
+             (Quaternion(-0.5, 0.0, 3e-152, -4e-152),
+              Quaternion(0.3, 1e-40, 0.0, 0.0))]
+    _assert_oracle_accuracy(pairs)
+    assert delta(*pairs[0]) > 0.0
+
+
 def _batch(points):
     return Quaternion(*np.array([q.components() for q in points]).T)
 

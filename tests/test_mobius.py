@@ -62,6 +62,37 @@ def test_random_sp11_satisfies_relations(rng):
         assert abs(A.a) >= 1.0 - 1e-12
 
 
+def test_random_sp11_batch_satisfies_relations(rng):
+    A = random_sp11(rng, size=500)
+    assert A.a.w.shape == (500,)
+    residual = A.residual()
+    assert residual.shape == (500,) and np.all(residual <= 1e-12)
+    # the batch residual is the scalar one of each element, NaN included
+    A.b.x[3] = math.nan
+    scalar = [SpOneOneMatrix(*(Quaternion(*(c[i] for c in v.components()))
+                               for v in (A.a, A.b, A.c, A.d))).residual()
+              for i in range(500)]
+    assert np.array_equal(A.residual(), scalar, equal_nan=True)
+    assert math.isnan(A.residual()[3])
+
+
+def test_batch_with_a_point_outside_the_ball_is_rejected():
+    q = Quaternion(np.array([0.0, 0.5, 1.0]), np.zeros(3), np.zeros(3),
+                   np.zeros(3))
+    m = RegularMobius(Quaternion(0.3), ONE)
+    A = SpOneOneMatrix.identity()
+    for apply in (lambda: regular_apply(m, q), lambda: classical_apply(A, q),
+                  lambda: matrix_regular_apply(A, q),
+                  lambda: regular_apply_via_series(m, q)):
+        with pytest.raises(DomainError):
+            apply()
+    inside = Quaternion(np.array([0.0, 0.5, -0.9]), np.zeros(3), np.zeros(3),
+                        np.zeros(3))
+    assert np.array_equal(regular_apply(m, inside).w,
+                          [regular_apply(m, Quaternion(w)).w
+                           for w in (0.0, 0.5, -0.9)])
+
+
 def test_classical_identity_and_diagonal(rng):
     q = Quaternion(0.2, 0.3, -0.1, 0.4)
     assert_qclose(classical_apply(SpOneOneMatrix.identity(), q), q)

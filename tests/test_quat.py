@@ -10,7 +10,8 @@ from sliceball import (DomainError, I, J, K, ONE, Quaternion,
                        SingularValueError, as_imaginary_unit,
                        is_imaginary_unit, max_component_diff, project_slice,
                        random_ball_point, random_imaginary_unit,
-                       random_unit_quaternion, slice_decompose)
+                       random_tangent, random_unit_quaternion,
+                       slice_decompose)
 
 components = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, components, components, components, components)
@@ -172,6 +173,37 @@ def test_samplers(rng):
         assert abs(abs(unit) - 1.0) <= 1e-12
         u = random_unit_quaternion(rng)
         assert abs(abs(u) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_samplers_with_size(rng, n):
+    margin = 1e-3
+    q = random_ball_point(rng, margin, size=n)
+    unit = random_imaginary_unit(rng, size=n)
+    u = random_unit_quaternion(rng, size=n)
+    a = random_tangent(rng, size=n)
+    for batch in (q, unit, u, a):
+        assert all(isinstance(c, np.ndarray) and c.shape == (n,)
+                   and c.dtype == np.float64 for c in batch.components())
+    assert np.all(abs(q) <= 1.0 - margin)
+    assert np.all(unit.w == 0.0)
+    assert np.all(np.abs(abs(unit) - 1.0) <= 1e-12)
+    assert np.all(np.abs(abs(u) - 1.0) <= 1e-12)
+
+
+def test_ball_sampler_with_size_covers_radii(rng):
+    radii = np.sort(abs(random_ball_point(rng, size=2000)))
+    assert radii[0] < 0.4 and radii[-1] > 0.9
+    # uniform in the 4-ball: P(|q| <= r) = (r / (1 - margin))^4
+    assert abs(np.mean(radii <= 0.5 * 0.999) - 0.0625) < 0.02
+
+
+def test_tangent_batch_equals_scalar_calls_bit_for_bit():
+    batch = random_tangent(np.random.default_rng(5), size=1000)
+    rng = np.random.default_rng(5)
+    scalar = [random_tangent(rng) for _ in range(1000)]
+    for i, c in enumerate("wxyz"):
+        assert getattr(batch, c).tolist() == [getattr(t, c) for t in scalar]
 
 
 def test_ball_sampler_covers_radii(rng):
