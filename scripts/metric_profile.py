@@ -3,8 +3,9 @@
 Tabulates Ghat, G for a slice tangent and a transverse tangent, and the
 two split-norm pieces, as the base point moves toward the boundary
 along a slice.  Shows the rate split between the hyperbolic weight
-1/(1-|q|^2)^2 and the transverse weight 1/|1-q^2|^2, and ends with a
-geodesic-vs-kernel distance comparison on the slice.
+1/(1-|q|^2)^2 and the transverse weight 1/|1-q^2|^2, and ends with the
+geodesic distance estimates on the slice next to the Ghat closed form
+artanh(|p - q| / |1 - q conj(p)|) and delta, a lower bound for d_G.
 """
 import argparse
 import math
@@ -42,18 +43,18 @@ def perp_direction(unit):
 
 
 def compare_distances(unit, pairs):
-    print("\n# geodesic estimates vs kernel distance on the slice")
-    print("%22s %12s %12s %12s" % ("pair", "atanh(delta)", "Ghat-geo",
-                                   "G-geo"))
+    print("\n# geodesic estimates vs the Ghat closed form on the slice")
+    print("%22s %12s %12s %12s %12s" % ("pair", "delta", "Ghat-closed",
+                                        "Ghat-geo", "G-geo"))
     for x0, y0, x1, y1 in pairs:
         p = Quaternion(x0) + y0 * unit
         q = Quaternion(x1) + y1 * unit
-        d = delta(p, q)
+        closed = math.atanh(abs(p - q) / abs(1 - q * p.conj()))
         ghat = distance_estimate(p, q, metric="Ghat")
         g = distance_estimate(p, q, metric="G")
         label = "(%.2f,%.2f)-(%.2f,%.2f)" % (x0, y0, x1, y1)
-        print("%22s %12.6f %12.6f %12.6f"
-              % (label, math.atanh(d), ghat.distance, g.distance))
+        print("%22s %12.6f %12.6f %12.6f %12.6f"
+              % (label, delta(p, q), closed, ghat.distance, g.distance))
 
 
 def main():

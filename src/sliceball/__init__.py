@@ -7,9 +7,9 @@ Hardy-kernel pseudo-hyperbolic distance, together with a verification
 suite for the documented identities.
 """
 
-from .config import (DEFAULT_ATOL, DEFAULT_BOUNDARY_MARGIN, DEFAULT_DELTA_TOL,
-                     DEFAULT_RTOL, DEFAULT_SAMPLES, DEFAULT_SEED,
-                     DEFAULT_TRUNCATION, RunConfig)
+from .config import (DEFAULT_ATOL, DEFAULT_BOUNDARY_MARGIN, DEFAULT_RTOL,
+                     DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TRUNCATION,
+                     RunConfig)
 from .errors import (ConversionError, DomainError, PreconditionError,
                      SingularValueError)
 from .geometry import (DistanceResult, NoninvarianceReport, TensorValue,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult", "ConversionError", "DEFAULT_ATOL",
-    "DEFAULT_BOUNDARY_MARGIN", "DEFAULT_DELTA_TOL", "DEFAULT_RTOL",
+    "DEFAULT_BOUNDARY_MARGIN", "DEFAULT_RTOL",
     "DEFAULT_SAMPLES", "DEFAULT_SEED", "DEFAULT_TRUNCATION", "DistanceResult",
     "DomainError", "EPS_ZERO", "I", "InfinitesimalProbe", "J", "K",
     "KernelTruncation", "NoninvarianceReport", "ONE", "PreconditionError",

@@ -112,7 +112,7 @@ def cmd_verify(args):
                              % (_ENV_SEED, raw))
     config = RunConfig(seed=seed, samples=args.samples,
                        truncation=args.truncation, atol=args.atol,
-                       rtol=args.rtol, delta_tol=args.tol)
+                       rtol=args.rtol)
     results = run_checks(config, args.pattern)
     if not results:
         raise UsageError("no suite matches %r" % args.pattern)
@@ -291,8 +291,6 @@ _SHARED_FLAGS = {
                    help="sample stream seed (default: env %s or %d)"
                    % (_ENV_SEED, RunConfig.seed)),
     "--samples": dict(type=int, default=RunConfig.samples),
-    "--tol": dict(type=float, default=RunConfig.delta_tol,
-                  help="bound of the hardy delta checks"),
     "--atol": dict(type=float, default=RunConfig.atol),
     "--rtol": dict(type=float, default=RunConfig.rtol),
     "--truncation": dict(type=int, default=RunConfig.truncation),

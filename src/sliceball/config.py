@@ -10,7 +10,6 @@ DEFAULT_TRUNCATION = 64
 DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-9
 DEFAULT_BOUNDARY_MARGIN = 1e-3   # samplers stay inside |q| <= 1 - margin
-DEFAULT_DELTA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -21,7 +20,6 @@ class RunConfig:
     atol: float = DEFAULT_ATOL
     rtol: float = DEFAULT_RTOL
     boundary_margin: float = DEFAULT_BOUNDARY_MARGIN
-    delta_tol: float = DEFAULT_DELTA_TOL
 
     def __post_init__(self):
         if self.samples < 1:
@@ -30,7 +28,7 @@ class RunConfig:
             raise ValueError("boundary_margin must lie in (0, 1)")
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
-        for name in ("atol", "rtol", "delta_tol"):
+        for name in ("atol", "rtol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError("%s must be positive and finite, got %r"

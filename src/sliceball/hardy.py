@@ -32,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_DELTA_TOL
 from .errors import DomainError, PreconditionError
 from .geometry import arcozzi_sarfatti_norm
-from .quat import Quaternion, slice_decompose
+from .quat import Quaternion, outside_ball, slice_decompose
 
 _ORDER_CAP = 2_000_000
+_TRUNCATION_TOL = 1e-10     # default tail bound of truncation_for
 
 # delta takes a point with |Im q| at or below this on the real axis.  The
 # clamp moves delta by far less than its round-off, unlike EPS_ZERO's
@@ -48,16 +48,10 @@ _ORDER_CAP = 2_000_000
 _REAL_AXIS = 1e-150
 
 
-def _check_ball(label, q):
-    # a batch fails when any element lies outside
-    outside = abs(q) >= 1.0
-    if outside is not False and (outside is True or outside.any()):
-        raise DomainError("%s must lie in the open unit ball" % label)
-
-
 def kernel_norm_sq(q):
     """||k_q||^2 = 1 / (1 - |q|^2)."""
-    _check_ball("q", q)
+    if outside_ball(q):
+        raise DomainError("q must lie in the open unit ball")
     return 1.0 / (1.0 - q.norm_sq())
 
 
@@ -68,8 +62,8 @@ def kernel_inner(p, q, n_terms):
     complex powers lifted back along the slice units of q and p; the
     whole sum collapses to four real dot products over n.
     """
-    _check_ball("p", p)
-    _check_ball("q", q)
+    if outside_ball(p) or outside_ball(q):
+        raise DomainError("p and q must lie in the open unit ball")
     sq = slice_decompose(q)
     sp = slice_decompose(p)
     n = np.arange(n_terms + 1)
@@ -105,10 +99,10 @@ def tail_bound(p, q, order):
     return r ** (order + 1) / (1.0 - r)
 
 
-def truncation_for(p, q, tol=DEFAULT_DELTA_TOL):
+def truncation_for(p, q, tol=_TRUNCATION_TOL):
     """Smallest order whose tail bound drops below tol."""
-    _check_ball("p", p)
-    _check_ball("q", q)
+    if outside_ball(p) or outside_ball(q):
+        raise DomainError("p and q must lie in the open unit ball")
     r = abs(p) * abs(q)
     if r < 1e-300:
         return KernelTruncation(order=0, tail_bound=0.0)
@@ -141,8 +135,8 @@ def delta(p, q):
     them a single point); each element gets exactly the value of a
     scalar call.
     """
-    _check_ball("p", p)
-    _check_ball("q", q)
+    if outside_ball(p) or outside_ball(q):
+        raise DomainError("p and q must lie in the open unit ball")
     sq = slice_decompose(q, _REAL_AXIS)
     sp = slice_decompose(p, _REAL_AXIS)
     dx = sq.x - sp.x
@@ -198,7 +192,8 @@ def infinitesimal_ratio(q, alpha, steps=(1e-2, 5e-3, 2.5e-3, 1.25e-3)):
     if len(steps) < 3 or any(t <= 0 for t in steps) \
             or any(a <= b for a, b in zip(steps, steps[1:])):
         raise PreconditionError("steps must be positive and decreasing")
-    _check_ball("q", q)
+    if outside_ball(q):
+        raise DomainError("q must lie in the open unit ball")
     if abs(q + alpha * steps[0]) >= 1.0:
         raise DomainError("largest probe step leaves the unit ball")
     values = tuple(delta(q, q + alpha * t) / t for t in steps)

@@ -28,7 +28,7 @@ import numpy as np
 from .config import DEFAULT_BOUNDARY_MARGIN
 from .errors import ConversionError, DomainError, PreconditionError
 from .quat import (I, J, K, ONE, Quaternion, ZERO, max_component_diff,
-                   random_unit_quaternion)
+                   outside_ball, random_unit_quaternion)
 from .series import RegularPowerSeries
 
 _NEWTON_CAP = 100
@@ -86,15 +86,9 @@ class SpOneOneMatrix:
         return cls(u, ZERO, ZERO, v)
 
 
-def _outside(q, radius=1.0):
-    # a batch is outside when any element is
-    outside = abs(q) >= radius
-    return outside is not False and (outside is True or outside.any())
-
-
 def classical_apply(A, q):
     """F_A(q) = (qc + d)^{-1} (qa + b)."""
-    if _outside(q):
+    if outside_ball(q):
         raise DomainError("classical transformation is applied inside the ball")
     return (q * A.c + A.d).inv() * (q * A.a + A.b)
 
@@ -120,7 +114,7 @@ def regular_apply(m, q):
 
         (q^2 |a|^2 - 2 q Re(a) + 1)^{-1} (q^2 a - q (a^2 + 1) + a) u.
     """
-    if _outside(q):
+    if outside_ball(q):
         raise DomainError("regular transformation is applied inside the ball")
     a = m.a
     q2 = q * q
@@ -142,7 +136,7 @@ def regular_apply_via_series(m, q, margin=DEFAULT_BOUNDARY_MARGIN):
     Uses f^{-*} * g = (1/f^s) . (f^c * g) pointwise: the slice scalar
     f^s(q)^{-1} multiplies the evaluated convolution f^c * g.
     """
-    if _outside(q, 1.0 - margin):
+    if outside_ball(q, 1.0 - margin):
         raise DomainError("series evaluation stays a margin inside the ball")
     f, g = _linear_factor_series(m)
     sym = f.symmetrize()
@@ -178,7 +172,7 @@ def matrix_regular_series(A):
 
 def matrix_regular_apply(A, q):
     """Evaluate the regular transformation of a matrix through its series."""
-    if _outside(q):
+    if outside_ball(q):
         raise DomainError("regular transformation is applied inside the ball")
     sym, num = matrix_regular_series(A)
     return sym.eval(q).inv() * num.eval(q)

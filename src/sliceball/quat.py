@@ -201,6 +201,12 @@ def max_component_diff(p, q):
                           np.maximum(abs(p.y - q.y), abs(p.z - q.z)))
 
 
+def outside_ball(q, radius=1.0):
+    """Whether |q| >= radius; a batch is outside when any element is."""
+    outside = abs(q) >= radius
+    return outside is not False and (outside is True or bool(outside.any()))
+
+
 def is_imaginary_unit(q, tol=1e-9):
     return abs(q.w) <= tol and abs(abs(q) - 1.0) <= tol
 

@@ -630,9 +630,9 @@ def check_delta_origin(config, rng):
 
 
 def check_delta_symmetric(config, rng):
+    # exact: swapping p and q swaps the operands of sums and products only
     for p, q in _ball_draws(config, rng, config.samples, 2):
-        yield from _pairs(abs(hardy.delta(p, q) - hardy.delta(q, p)),
-                          2.0 * config.delta_tol)
+        yield from _pairs(abs(hardy.delta(p, q) - hardy.delta(q, p)), 1e-15)
 
 
 def check_delta_range(config, rng):
@@ -660,10 +660,11 @@ def check_delta_slice_form(config, rng):
 
 
 def check_delta_triangle(config, rng):
-    allowed = 4.0 * config.delta_tol
+    # each delta is within about 1e-16 / (1 - |q|^2) of exact: under
+    # 5e-14 in the ball |q| <= 0.999 of the default margin
     for p, q, r in _ball_draws(config, rng, config.samples * 10, 3):
         excess = hardy.delta(p, r) - hardy.delta(p, q) - hardy.delta(q, r)
-        yield from _pairs(np.maximum(excess, 0.0), allowed)
+        yield from _pairs(np.maximum(excess, 0.0), 1e-12)
 
 
 def _infinitesimal_ratios(config, draw):

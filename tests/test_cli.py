@@ -101,8 +101,7 @@ def test_non_integer_env_seed_is_a_usage_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flag, value, name", [("--atol", "nan", "atol"),
-                                               ("--rtol", "inf", "rtol"),
-                                               ("--tol", "nan", "delta_tol")])
+                                               ("--rtol", "inf", "rtol")])
 def test_verify_rejects_non_finite_tolerance(capsys, flag, value, name):
     code, out, err = run(capsys, "verify", "--samples", "50", flag, value)
     assert (code, out) == (2, "")
@@ -390,6 +389,7 @@ def test_series_usage_errors(capsys):
 
 
 _BASE_ARGV = {
+    "verify": ["verify", "quat/slice-roundtrip", "--samples", "10"],
     "sample-field": ["sample-field", "--grid", "1"],
     "transform": ["transform", "--canonical",
                   '{"a": [0,0.5,0,0], "u": [1,0,0,0]}', "--q", "[0,0,0,0]"],
@@ -397,6 +397,7 @@ _BASE_ARGV = {
     "series": ["series", "conjugate", "--f", '{"coeffs": [[1,0,0,0]]}'],
 }
 _REMOVED_FLAGS = {
+    "verify": ["--tol"],
     "sample-field": ["--seed", "--samples", "--tol", "--atol", "--rtol",
                      "--truncation"],
     "transform": ["--seed", "--samples", "--tol", "--atol", "--rtol",
@@ -425,7 +426,7 @@ def test_cli_settable_values():
                        if not isinstance(a, argparse._HelpAction)]
                 for name, p in subparsers.choices.items()}
     assert settable == {
-        "verify": ["pattern", "seed", "samples", "tol", "atol", "rtol",
+        "verify": ["pattern", "seed", "samples", "atol", "rtol",
                    "truncation", "out"],
         "sample-field": ["tensor", "slice", "offset", "alpha", "beta",
                          "grid", "format", "out"],
@@ -433,7 +434,7 @@ def test_cli_settable_values():
         "distance": ["p", "q", "out"],
         "series": ["op", "f", "g", "q", "truncation", "out"],
     }
-    assert sum(map(len, settable.values())) == 30
+    assert sum(map(len, settable.values())) == 29
 
 
 @pytest.mark.parametrize("value", ["[0,0,true,0]", "[0,NaN,0,0]",

@@ -8,7 +8,7 @@ from conftest import assert_qclose
 from sliceball import (DomainError, I, J, K, ONE, PreconditionError,
                        Quaternion, SingularValueError,
                        arcozzi_sarfatti_norm, classical_differential,
-                       conjugation_cu, curve_length, distance_estimate,
+                       conjugation_cu, curve_length, delta, distance_estimate,
                        hyperbolic_metric, kahler_rank, max_component_diff,
                        noninvariance_witness, random_ball_point,
                        random_imaginary_unit, random_sp11, random_tangent,
@@ -309,25 +309,69 @@ def test_distance_estimate_self(rng):
     res = distance_estimate(p, p)
     assert res.converged
     assert res.distance <= 1e-9
-
-
-def test_distance_estimate_radial():
-    res = distance_estimate(Quaternion(), Quaternion(0.5), metric="Ghat")
-    assert res.converged
-    assert abs(res.distance - math.atanh(0.5)) <= 1e-4
-    res = distance_estimate(Quaternion(), HALF_I, metric="G")
-    assert res.converged
-    assert abs(res.distance - math.atanh(0.5)) <= 1e-4
-
-
-def test_distance_estimate_curved():
-    # closed form for the real hyperbolic 4-ball with ds = |dq|/(1-|q|^2)
-    p, q = Quaternion(0.5), HALF_I
-    rho = math.sqrt(0.5 / (0.5 + 0.75 * 0.75))
-    exact = math.atanh(rho)
+    # 1e-9 apart, rounding the points limits the descent: still converged
+    q = p + Quaternion(1e-9, 0.0, 2e-9, 0.0)
     res = distance_estimate(p, q, metric="Ghat")
     assert res.converged
-    assert abs(res.distance - exact) <= 1e-3
+    exact = _ghat_distance(p, q)
+    assert abs(res.distance - exact) <= 1e-6 * exact
+
+
+def test_distance_estimate_rejects_an_end_outside_the_ball():
+    # every midpoint of the straight start lies inside the ball here
+    with pytest.raises(DomainError, match="open unit ball"):
+        distance_estimate(Quaternion(1.0001), Quaternion(0.5))
+
+
+def _disk_distance(z, w):
+    # hyperbolic distance of the disk with the metric |dz|^2 / (1-|z|^2)^2
+    return math.atanh(abs(z - w) / abs(1 - z * w.conjugate()))
+
+
+def _ghat_distance(p, q):
+    # Ghat is a quarter of the Poincare-ball metric (Ahlfors, Moebius
+    # transformations in several dimensions, 1981)
+    return math.atanh(abs(p - q) / abs(1 - q * p.conj()))
+
+
+def test_distance_estimate_on_a_slice(rng):
+    # each slice is the fixed set of the G-isometry q -> I^{-1} q I, so it
+    # is totally geodesic and G there is the disk metric
+    for _ in range(6):
+        unit = random_imaginary_unit(rng)
+        # uniform in the disk |z| <= 0.8
+        z, w = 0.8 * np.sqrt(rng.random(2)) \
+            * np.exp(2j * math.pi * rng.random(2))
+        p = Quaternion(z.real) + z.imag * unit
+        q = Quaternion(w.real) + w.imag * unit
+        res = distance_estimate(p, q, metric="G")
+        assert res.converged
+        exact = _disk_distance(z, w)
+        assert abs(res.distance - exact) <= 1e-6 * exact
+
+
+def test_distance_estimate_curved(rng):
+    for _ in range(10):
+        p, q = random_ball_point(rng, 0.2), random_ball_point(rng, 0.2)
+        res = distance_estimate(p, q, metric="Ghat")
+        assert res.converged
+        exact = _ghat_distance(p, q)
+        assert abs(res.distance - exact) <= 1e-6 * exact
+
+
+def test_distance_estimate_between_delta_and_ghat(rng):
+    # delta is a metric whose infinitesimal form is the G norm, and
+    # G <= Ghat pointwise since |1 - q^2|^2 = (1-|q|^2)^2 + 4 |Im q|^2
+    # d_G 0.7384, d_Ghat 0.8279, delta 0.6357
+    pairs = [(Quaternion(0.1, 0.2, 0.3, 0.1),
+              Quaternion(-0.3, 0.1, -0.2, 0.4))]
+    pairs += [(random_ball_point(rng, 0.2), random_ball_point(rng, 0.2))
+              for _ in range(5)]
+    for p, q in pairs:
+        res = distance_estimate(p, q, metric="G")
+        assert res.converged
+        assert delta(p, q) <= res.distance \
+            <= _ghat_distance(p, q) * (1.0 + 1e-9)
 
 
 def _batch(points):

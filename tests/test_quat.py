@@ -12,6 +12,7 @@ from sliceball import (DomainError, I, J, K, ONE, Quaternion,
                        random_ball_point, random_imaginary_unit,
                        random_tangent, random_unit_quaternion,
                        slice_decompose)
+from sliceball.quat import outside_ball
 
 components = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, components, components, components, components)
@@ -160,6 +161,17 @@ def test_imaginary_unit_validation():
     u = as_imaginary_unit(Quaternion(0.0, 0.0, 1.0 + 1e-12, 0.0))
     assert abs(u * u + ONE) <= 1e-15
     assert_qclose(u, J, atol=1e-11)
+
+
+def test_outside_ball_on_points_and_batches():
+    assert outside_ball(Quaternion(1.0)) is True       # the sphere is outside
+    assert outside_ball(Quaternion(0.0, 0.6, 0.0, 0.79)) is False
+    assert outside_ball(Quaternion(0.5), radius=0.5) is True
+    batch = Quaternion(np.array([0.0, 0.5, 1.0]), np.zeros(3), np.zeros(3),
+                       np.zeros(3))
+    assert outside_ball(batch) is True                  # one element is
+    assert outside_ball(batch * 0.9) is False
+    assert outside_ball(batch, radius=1.5) is False
 
 
 def test_samplers(rng):

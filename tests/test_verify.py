@@ -89,7 +89,7 @@ def test_config_validation():
         RunConfig(boundary_margin=2.0)
 
 
-@pytest.mark.parametrize("name", ["atol", "rtol", "delta_tol"])
+@pytest.mark.parametrize("name", ["atol", "rtol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_tolerance(name, value):
     with pytest.raises(ValueError,
@@ -474,8 +474,7 @@ def _loop_delta_origin(config, rng, block):
 def _loop_delta_symmetric(config, rng, block):
     for p, q in _per_draw(config.samples, block,
                           lambda n: _ball_points(config, rng, n, 2)):
-        yield (abs(hardy.delta(p, q) - hardy.delta(q, p)),
-               2.0 * config.delta_tol)
+        yield abs(hardy.delta(p, q) - hardy.delta(q, p)), 1e-15
 
 
 def _loop_delta_range(config, rng, block):
@@ -506,7 +505,7 @@ def _loop_delta_triangle(config, rng, block):
                              lambda n: _ball_points(config, rng, n, 3)):
         yield (max(0.0, hardy.delta(p, r) - hardy.delta(p, q)
                    - hardy.delta(q, r)),
-               4.0 * config.delta_tol)
+               1e-12)
 
 
 def _rel_q(v1, v2):
