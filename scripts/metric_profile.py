@@ -44,7 +44,7 @@ def perp_direction(unit):
 
 def compare_distances(unit, pairs):
     print("\n# geodesic estimates vs the Ghat closed form on the slice")
-    print("%22s %12s %12s %12s %12s" % ("pair", "delta", "Ghat-closed",
+    print("%24s %12s %12s %12s %12s" % ("pair", "delta", "Ghat-closed",
                                         "Ghat-geo", "G-geo"))
     for x0, y0, x1, y1 in pairs:
         p = Quaternion(x0) + y0 * unit
@@ -53,7 +53,7 @@ def compare_distances(unit, pairs):
         ghat = distance_estimate(p, q, metric="Ghat")
         g = distance_estimate(p, q, metric="G")
         label = "(%.2f,%.2f)-(%.2f,%.2f)" % (x0, y0, x1, y1)
-        print("%22s %12.6f %12.6f %12.6f %12.6f"
+        print("%24s %12.6f %12.6f %12.6f %12.6f"
               % (label, delta(p, q), closed, ghat.distance, g.distance))
 
 

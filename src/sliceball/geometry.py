@@ -163,10 +163,13 @@ def tensor_value(q, alpha, beta):
 
 
 def _require_on_slice(unit, label, value, tol=1e-12):
-    _, perp = project_slice(unit, value)
-    if abs(perp) > tol:
+    size = abs(project_slice(unit, value)[1])
+    # a batch fails when any element is off the slice
+    off = size > tol
+    if off is not False and (off is True or off.any()):
         raise PreconditionError(
-            "%s has a component of size %g off the slice" % (label, abs(perp)))
+            "%s has a component of size %g off the slice"
+            % (label, np.max(size)))
 
 
 def slice_restriction_metric(unit, q, alpha, beta):

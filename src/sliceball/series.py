@@ -9,6 +9,14 @@ The regular reciprocal f^{-*} is realized two ways: pointwise through
 the identity f^{-*} = (1/f^s) f^c evaluated off the zero set of the
 symmetrization f^s, and as a truncated series via recursive inversion
 of the real-coefficient series f^s.
+
+A batch of series is one series whose coefficients are array
+Quaternions of one shape, as a batch of quaternions is one Quaternion:
+every operation here acts on it elementwise, with the arithmetic of
+scalar calls.  Series of different orders share a batch by padding the
+shorter ones with zero coefficients, which changes no value of eval,
+star or the reciprocal recursion.  A validity check on a batch fails
+when any element fails.
 """
 from __future__ import annotations
 
@@ -83,7 +91,9 @@ class RegularPowerSeries:
         the zero set Z_{f^s}.
         """
         sv = self.symmetrize().eval(q)
-        if abs(sv) <= EPS_ZERO:
+        # a batch fails when any element is singular
+        small = abs(sv) <= EPS_ZERO
+        if small is not False and (small is True or small.any()):
             raise SingularValueError(
                 "q lies on the zero set Z_{f^s} of the symmetrization")
         return sv.inv() * self.conjugate().eval(q)
@@ -98,7 +108,8 @@ class RegularPowerSeries:
         sym = self.symmetrize()
         # real up to round-off; the recursion works on the real parts
         s = [c.w for c in sym.coeffs]
-        if abs(s[0]) <= EPS_ZERO:
+        small = abs(s[0]) <= EPS_ZERO
+        if small is not False and (small is True or small.any()):
             raise SingularValueError(
                 "symmetrization vanishes at 0; no reciprocal series")
         t = [1.0 / s[0]]

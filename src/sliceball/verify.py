@@ -9,14 +9,19 @@ error / allowed ratio.  Pinned tolerances scale linearly with atol / rtol
 relative to their defaults, so tightening either flag makes every
 check strictly harder.
 
-Checks whose formulas are plain quaternion arithmetic draw their inputs
-a block of at most _BLOCK draws at a time, one sampler call with size=n
-per value of the draw (_draws), and evaluate each block as array
-Quaternions; the pairs come out in draw order as Python floats, exactly
-as evaluating each element of the block with scalar calls would yield
-them.  Checks whose draws reject samples or branch on the data (and the
-series suite, canonical-roundtrip, injectivity, origin-isotropy and the
-distance checks) draw one value per sampler call.
+Most checks draw their inputs a block of at most _BLOCK draws at a
+time, one sampler call with size=n per value of the draw (_draws), and
+evaluate each block as array Quaternions; the pairs come out in draw
+order as Python floats, exactly as evaluating each element of the block
+with scalar calls would yield them.  A block of power series is one
+RegularPowerSeries with array coefficients, each draw's series padded
+with zero coefficients to the block's largest order; a draw yields
+pairs for its own coefficients only.  Still drawing one value per
+sampler call are canonical-roundtrip (one Newton search per matrix; a
+matrix's 20 points are then evaluated as one batch), the two
+infinitesimal-ratio checks (one probe per draw), and segment-length and
+distance-self, whose draws are fixed in number.  The cost of every
+check grows at most linearly in --samples.
 """
 from __future__ import annotations
 
@@ -102,16 +107,26 @@ def _columns(*values):
     return np.stack(np.broadcast_arrays(*values), axis=-1)
 
 
-def _pairs(errors, allowed):
+def _pairs(errors, allowed, own=None):
     """(error, allowed) pairs of Python floats, one per element of
     errors in row-major order (draw order; a row holds one draw's
-    values); either side may be one value for the whole block."""
+    values); either side may be one value for the whole block.  With
+    own, a boolean array of the shape of errors, only the elements it
+    marks give pairs."""
     errors, allowed = np.broadcast_arrays(errors, allowed)
+    if own is not None:
+        errors, allowed = errors[own], allowed[own]
     return zip(errors.ravel().tolist(), allowed.ravel().tolist())
 
 
 def _reshape(q, shape):
     return Quaternion(*(np.reshape(c, shape) for c in q.components()))
+
+
+def _where(mask, p, q):
+    """Elementwise p where mask holds, else q."""
+    return Quaternion(*(np.where(mask, a, b)
+                        for a, b in zip(p.components(), q.components())))
 
 
 def _ball(rng, radius, size=None):
@@ -142,6 +157,21 @@ def _slice_tangent(rng, unit):
     g = rng.standard_normal(2)
     return Quaternion(float(g[0]), float(g[1]) * unit.x,
                       float(g[1]) * unit.y, float(g[1]) * unit.z)
+
+
+def _slice_tangents(rng, unit):
+    """One standard Gaussian tangent along the slice of each element of
+    the batch unit."""
+    g = rng.standard_normal((2, len(unit.x)))
+    return Quaternion(g[0], g[1] * unit.x, g[1] * unit.y, g[1] * unit.z)
+
+
+def _on_slice(rng, n):
+    """n draws of a unit, a point of its half disk of radius 0.9 and two
+    tangents along its slice."""
+    unit = random_imaginary_unit(rng, size=n)
+    return (unit, _slice_points(rng, unit, 0.9),
+            _slice_tangents(rng, unit), _slice_tangents(rng, unit))
 
 
 # ----------------------------------------------------------------- quat
@@ -188,82 +218,118 @@ def check_slice_roundtrip(config, rng):
 
 # --------------------------------------------------------------- series
 
-def _random_series(rng, max_order, scale=0.7):
-    order = int(rng.integers(0, max_order + 1))
-    return RegularPowerSeries(
-        [random_tangent(rng) * scale for _ in range(order + 1)])
+def _padded_series(coeffs, orders):
+    """One series holding len(orders) series: draw i has order orders[i],
+    and its orders[i] + 1 coefficients come in turn from the batch
+    coeffs, draw after draw."""
+    own = np.arange(orders.max() + 1) <= orders[:, None]
+    padded = np.zeros((4,) + own.shape)
+    for out, c in zip(padded, coeffs.components()):
+        out[own] = c
+    padded = np.ascontiguousarray(padded.transpose(2, 0, 1))
+    return RegularPowerSeries([Quaternion(*c) for c in padded])
+
+
+def _coefficient_pairs(errors, allowed, orders):
+    """_pairs of errors[k], an array over the block per coefficient k of
+    a padded series, for each draw's coefficients k <= orders[i], in
+    draw order; allowed is one value per draw or one for the block."""
+    errors = _columns(*errors)
+    own = np.arange(errors.shape[-1]) <= orders[:, None]
+    return _pairs(errors, np.reshape(allowed, (-1, 1)), own)
+
+
+def _random_series(rng, n, max_order, scale=0.7):
+    """n series of orders uniform in 0..max_order with Gaussian
+    coefficients, as one padded series, and their orders."""
+    orders = rng.integers(0, max_order + 1, size=n)
+    coeffs = random_tangent(rng, size=int(orders.sum()) + n) * scale
+    return _padded_series(coeffs, orders), orders
 
 
 def _coeff_scale(*fs):
-    return max(abs(c) for f in fs for c in f.coeffs)
+    """max(1, largest |coefficient|), per draw of padded series."""
+    return _larger(1.0, *(abs(c) for f in fs for c in f.coeffs))
 
 
 def check_star_associative(config, rng):
-    for _ in range(max(10, config.samples // 5)):
-        f = _random_series(rng, 8)
-        g = _random_series(rng, 8)
-        h = _random_series(rng, 8)
+    for (f, of), (g, og), (h, oh) in _draws(
+            max(10, config.samples // 5),
+            lambda n: tuple(_random_series(rng, n, 8) for _ in range(3))):
         lhs = f.star(g).star(h)
         rhs = f.star(g.star(h))
-        scale = max(1.0, _coeff_scale(lhs, rhs))
-        for a, b in zip(lhs.coeffs, rhs.coeffs):
-            yield (max_component_diff(a, b),
-                   1e-12 * scale * _atol_scale(config))
+        scale = _coeff_scale(lhs, rhs)
+        yield from _coefficient_pairs(
+            [max_component_diff(a, b) for a, b in zip(lhs.coeffs, rhs.coeffs)],
+            1e-12 * scale * _atol_scale(config), of + og + oh)
 
 
 def check_symmetrization_commutes(config, rng):
-    for _ in range(max(10, config.samples // 5)):
-        f = _random_series(rng, 8)
+    for f, order in _draws(max(10, config.samples // 5),
+                           lambda n: _random_series(rng, n, 8)):
         lhs = f.star(f.conjugate())
         rhs = f.conjugate().star(f)
-        scale = max(1.0, _coeff_scale(lhs, rhs))
-        for a, b in zip(lhs.coeffs, rhs.coeffs):
-            yield (max_component_diff(a, b),
-                   1e-12 * scale * _atol_scale(config))
+        scale = _coeff_scale(lhs, rhs)
+        yield from _coefficient_pairs(
+            [max_component_diff(a, b) for a, b in zip(lhs.coeffs, rhs.coeffs)],
+            1e-12 * scale * _atol_scale(config), 2 * order)
 
 
 def check_symmetrization_real(config, rng):
     allowed = 1e-13 * _atol_scale(config)
-    for _ in range(max(10, config.samples // 5)):
-        for c in _random_series(rng, 8).symmetrize().coeffs:
-            yield c.im_norm(), allowed
+    for f, order in _draws(max(10, config.samples // 5),
+                           lambda n: _random_series(rng, n, 8)):
+        yield from _coefficient_pairs(
+            [c.im_norm() for c in f.symmetrize().coeffs], allowed, 2 * order)
+
+
+def _slice_series(rng, unit):
+    """One series of order 0 to 5 per element of the batch unit, its
+    coefficients on the slice of that unit, as one padded series."""
+    orders = rng.integers(0, 6, size=len(unit.x))
+    per_coeff = Quaternion(*(np.repeat(c, orders + 1)
+                             for c in unit.components()))
+    return _padded_series(_slice_tangents(rng, per_coeff), orders)
 
 
 def check_slice_evaluation_homomorphism(config, rng):
-    for _ in range(config.samples):
-        unit = random_imaginary_unit(rng)
-        f = RegularPowerSeries([_slice_tangent(rng, unit)
-                                for _ in range(int(rng.integers(1, 7)))])
-        g = RegularPowerSeries([_slice_tangent(rng, unit)
-                                for _ in range(int(rng.integers(1, 7)))])
-        q = _slice_point(rng, unit, 0.9)
+    def draw(n):
+        unit = random_imaginary_unit(rng, size=n)
+        f = _slice_series(rng, unit)
+        g = _slice_series(rng, unit)
+        return f, g, _slice_points(rng, unit, 0.9)
+    for f, g, q in _draws(config.samples, draw):
         lhs = f.star(g).eval(q)
         rhs = f.eval(q) * g.eval(q)
-        yield (max_component_diff(lhs, rhs),
-               config.atol + config.rtol * 10.0 * max(1.0, abs(lhs), abs(rhs)))
+        yield from _pairs(max_component_diff(lhs, rhs),
+                          config.atol + config.rtol * 10.0
+                          * _larger(1.0, abs(lhs), abs(rhs)))
 
 
-def _reciprocal_friendly(rng):
+def _reciprocal_friendly(rng, n):
     # spectrum kept away from the ball so the reciprocal series converges
-    # fast on |q| <= 0.5: either a Moebius linear factor or a perturbation
-    # of a unit constant with geometrically decaying coefficients
-    if rng.random() < 0.5:
-        a = _ball(rng, 0.9)
-        return RegularPowerSeries([-ONE, a.conj()])
-    coeffs = [random_unit_quaternion(rng)]
-    for n in range(1, int(rng.integers(2, 7))):
-        coeffs.append(random_tangent(rng) * (0.5 * 0.25 ** n))
+    # fast on |q| <= 0.5: each draw is either a Moebius linear factor
+    # q conj(a) - 1 or a perturbation of a unit constant with
+    # geometrically decaying coefficients, of order 1 to 5; a block draws
+    # the values of both kinds for every draw and keeps one
+    linear = rng.random(n) < 0.5
+    a = _ball(rng, 0.9, n).conj()
+    orders = np.where(linear, 1, rng.integers(1, 6, size=n))
+    coeffs = [_where(linear, -ONE, random_unit_quaternion(rng, size=n))]
+    for k in range(1, 6):
+        tail = _where(k <= orders,
+                      random_tangent(rng, size=n) * (0.5 * 0.25 ** k), ZERO)
+        coeffs.append(_where(linear, a if k == 1 else ZERO, tail))
     return RegularPowerSeries(coeffs)
 
 
 def check_reciprocal_residual(config, rng):
-    for _ in range(max(10, config.samples // 5)):
-        f = _reciprocal_friendly(rng)
+    allowed = 1e-9 * _rtol_scale(config)
+    for f, q in _draws(max(10, config.samples // 5), lambda n: (
+            _reciprocal_friendly(rng, n), _ball(rng, 0.5, n))):
         recip = f.reciprocal_series(config.truncation)
-        q = _ball(rng, 0.5)
-        allowed = 1e-9 * _rtol_scale(config)
-        yield abs(recip.star(f).eval(q) - 1), allowed
-        yield abs(f.star(recip).eval(q) - 1), allowed
+        yield from _pairs(_columns(abs(recip.star(f).eval(q) - 1),
+                                   abs(f.star(recip).eval(q) - 1)), allowed)
 
 
 # --------------------------------------------------------------- mobius
@@ -328,32 +394,44 @@ def check_differential_fd(config, rng, h=1e-5):
 
 
 def check_origin_isotropy(config, rng):
-    for _ in range(config.samples):
-        u = random_unit_quaternion(rng)
-        q = random_ball_point(rng, config.boundary_margin)
+    for u, q, a in _draws(config.samples, lambda n: (
+            random_unit_quaternion(rng, size=n),
+            random_ball_point(rng, config.boundary_margin, size=n),
+            _ball(rng, 0.9, n))):
         rot = mobius.RegularMobius(ZERO, u)
-        yield (max_component_diff(mobius.regular_apply(rot, q), q * (-u)),
-               config.atol + config.rtol)
-        a = _ball(rng, 0.9)
-        if abs(a) > 1e-6:
-            moved = abs(mobius.regular_apply(mobius.RegularMobius(a, u),
-                                             ZERO))
-            if moved <= 1e-6:
-                yield math.inf, 1.0
+        # a map whose zero a is away from 0 must move 0; where it does
+        # not, an infinite error follows the draw's pair
+        moved = abs(mobius.regular_apply(mobius.RegularMobius(a, u), ZERO))
+        yield from _pairs(
+            _columns(max_component_diff(mobius.regular_apply(rot, q),
+                                        q * (-u)), math.inf),
+            _columns(config.atol + config.rtol, 1.0),
+            _columns(True, (abs(a) > 1e-6) & (moved <= 1e-6)))
+
+
+def _redraw_close(rng, q1, q2):
+    """q2 with each element within 1e-6 of q1 redrawn until none is."""
+    close = abs(q1 - q2) <= 1e-6
+    while close.any():
+        redrawn = _ball(rng, 0.9, int(close.sum()))
+        q2 = Quaternion(*(c.copy() for c in q2.components()))
+        for c, r in zip(q2.components(), redrawn.components()):
+            c[close] = r
+        close = abs(q1 - q2) <= 1e-6
+    return q2
 
 
 def check_injectivity(config, rng):
     # error is the float just above 1e-9 and allowed the separation of
     # the images, so a separation greater than 1e-9 passes
     threshold = math.nextafter(1e-9, math.inf)
-    for _ in range(config.samples):
-        m = _random_canonical(rng)
-        q1 = _ball(rng, 0.9)
-        q2 = _ball(rng, 0.9)
-        while abs(q1 - q2) <= 1e-6:
-            q2 = _ball(rng, 0.9)
-        yield threshold, abs(mobius.regular_apply(m, q1)
-                             - mobius.regular_apply(m, q2))
+
+    def draw(n):
+        m, q1 = _random_canonical(rng, size=n), _ball(rng, 0.9, n)
+        return m, q1, _redraw_close(rng, q1, _ball(rng, 0.9, n))
+    for m, q1, q2 in _draws(config.samples, draw):
+        yield from _pairs(threshold, abs(mobius.regular_apply(m, q1)
+                                         - mobius.regular_apply(m, q2)))
 
 
 def check_canonical_roundtrip(config, rng):
@@ -365,11 +443,12 @@ def check_canonical_roundtrip(config, rng):
         if abs(m.a) >= 1.0 or abs(abs(m.u) - 1.0) > 1e-12:
             yield math.inf, 1.0
             continue
-        for _ in range(20):
-            q = _ball(rng, 0.7)
-            yield (max_component_diff(mobius.regular_apply(m, q),
-                                      mobius.matrix_regular_apply(A, q)),
-                   allowed)
+        # 20 scalar draws, evaluated as one batch
+        q = Quaternion(*np.array([_ball(rng, 0.7).components()
+                                  for _ in range(20)]).T)
+        yield from _pairs(
+            max_component_diff(mobius.regular_apply(m, q),
+                               mobius.matrix_regular_apply(A, q)), allowed)
 
 
 def check_normalize_pair(config, rng):
@@ -402,7 +481,8 @@ def _triple_and_unit(config, rng, n):
 
 
 def check_hermitian_u_independent(config, rng):
-    inner = max(2, config.samples // 20)
+    # units per triple: a constant, so the cost grows linearly in samples
+    inner = 50
     allowed = 1e-11 * _rtol_scale(config)
 
     # a row of the block per triple, holding its inner units
@@ -568,30 +648,26 @@ def check_representation_kahler(config, rng):
 
 def check_slice_restriction_metric(config, rng):
     allowed = 1e-13 * _rtol_scale(config)
-    for _ in range(config.samples):
-        unit = random_imaginary_unit(rng)
-        q = _slice_point(rng, unit, 0.9)
-        a = _slice_tangent(rng, unit)
-        b = _slice_tangent(rng, unit)
+    for unit, q, a, b in _draws(config.samples,
+                                lambda n: _on_slice(rng, n)):
         g_i = geometry.slice_restriction_metric(unit, q, a, b)
         # on the slice G and Ghat agree, and so do their scales
         scale = _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b)
-        yield abs(g_i - geometry.slice_riemannian(q, a, b)) / scale, allowed
-        yield abs(g_i - geometry.hyperbolic_metric(q, a, b)) / scale, allowed
+        yield from _pairs(
+            _columns(abs(g_i - geometry.slice_riemannian(q, a, b)) / scale,
+                     abs(g_i - geometry.hyperbolic_metric(q, a, b)) / scale),
+            allowed)
 
 
 def check_slice_restriction_kahler(config, rng):
     allowed = 1e-13 * _rtol_scale(config)
-    for _ in range(config.samples):
-        unit = random_imaginary_unit(rng)
-        q = _slice_point(rng, unit, 0.9)
-        a = _slice_tangent(rng, unit)
-        b = _slice_tangent(rng, unit)
+    for unit, q, a, b in _draws(config.samples,
+                                lambda n: _on_slice(rng, n)):
         omega_i = geometry.slice_restriction_kahler(unit, q, a, b)
         # |Omega| <= |H_q(a, b)|, which on the slice is Ghat's scale
         scale = _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b)
-        yield (max_component_diff(geometry.slice_kahler(q, a, b),
-                                  unit * omega_i) / scale, allowed)
+        yield from _pairs(max_component_diff(geometry.slice_kahler(q, a, b),
+                                             unit * omega_i) / scale, allowed)
 
 
 def check_segment_length(config, rng):

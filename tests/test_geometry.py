@@ -265,10 +265,20 @@ def test_slice_restrictions(rng):
 
 
 def test_slice_restriction_requires_slice_tangents():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match="^alpha has a component of size 1 off the slice$"):
         slice_restriction_metric(I, HALF_I, J, ONE)
     with pytest.raises(PreconditionError):
         slice_restriction_kahler(I, Quaternion(0.5, 0.7, 0.0, 0.0), ONE, J)
+    # a batch fails when any element is off the slice, and names the
+    # largest off-slice size
+    alpha = Quaternion(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                       np.array([0.0, 0.0, 0.25]), 0.0)
+    for restriction in (slice_restriction_metric, slice_restriction_kahler):
+        with pytest.raises(PreconditionError, match="^alpha has a component "
+                                                    "of size 0.25 off the "
+                                                    "slice$"):
+            restriction(I, HALF_I, alpha, ONE)
 
 
 def test_curve_length_segment():

@@ -178,3 +178,62 @@ def test_coefficient_coercion():
     batch = RegularPowerSeries([np.array([1, 2])]).coeffs[0]
     assert batch.w.dtype == np.float64
     assert np.array_equal(batch.w, [1.0, 2.0]) and batch.x == 0.0
+
+
+def _padded_batch(series):
+    """One series whose coefficient k holds coefficient k of each given
+    series, zero above an element's own order."""
+    order = max(f.order for f in series)
+    coeffs = [[f.coeffs[k].components() if k <= f.order else (0.0,) * 4
+               for f in series] for k in range(order + 1)]
+    return RegularPowerSeries([Quaternion(*np.array(c).T) for c in coeffs])
+
+
+def _element(q, i):
+    # element i of a batch; a scalar component is shared by every element
+    return Quaternion(*(float(c[i]) if np.ndim(c) else float(c)
+                        for c in q.components()))
+
+
+def test_padded_batch_matches_scalar_calls_bit_for_bit(rng):
+    # series of orders 0 to 6 side by side in one batch: the zero
+    # padding leaves every value of star, symmetrize, eval and the
+    # reciprocal recursion exactly as a scalar call gives it
+    fs, gs = ([RegularPowerSeries(
+        [Quaternion(*rng.standard_normal(4)) * (0.5 * 0.5 ** k)
+         for k in range(order + 1)]) for order in rng.integers(0, 7, 40)]
+        for _ in range(2))
+    fs = [RegularPowerSeries([ONE + f.coeffs[0]] + list(f.coeffs[1:]))
+          for f in fs]
+    qs = [Quaternion(*rng.standard_normal(4)) * 0.1 for _ in fs]
+    f, g = _padded_batch(fs), _padded_batch(gs)
+    q = Quaternion(*np.array([p.components() for p in qs]).T)
+    batched = {"star": f.star(g), "symmetrize": f.symmetrize(),
+               "reciprocal_series": f.reciprocal_series(64)}
+    for i, (fi, gi, qi) in enumerate(zip(fs, gs, qs)):
+        scalar = {"star": fi.star(gi), "symmetrize": fi.symmetrize(),
+                  "reciprocal_series": fi.reciprocal_series(64)}
+        for name, s in scalar.items():
+            got = [_element(c, i) for c in batched[name].coeffs]
+            assert got[:len(s.coeffs)] == list(s.coeffs), name
+            assert all(c == 0.0 for c in got[len(s.coeffs):]), name
+            assert _element(batched[name].eval(q), i) == s.eval(qi), name
+        assert _element(f.eval(q), i) == fi.eval(qi)
+        assert _element(f.eval_reciprocal(q), i) == fi.eval_reciprocal(qi)
+
+
+def test_singular_element_of_a_batch_raises_as_a_scalar_does():
+    # 1 - 2q is singular at 1/2 and its symmetrization vanishes at 0
+    # once the constant is 1e-14: one such element fails the batch
+    f = RegularPowerSeries([ONE, Quaternion(-2.0)])
+    with pytest.raises(SingularValueError,
+                       match=r"^q lies on the zero set Z_\{f\^s\} of the "
+                             r"symmetrization$"):
+        f.eval_reciprocal(Quaternion(np.array([0.25, 0.5, 0.0]), 0.0,
+                                     0.0, 0.0))
+    tiny = RegularPowerSeries([Quaternion(np.array([1.0, 1e-14]), 0.0,
+                                          0.0, 0.0), ONE])
+    with pytest.raises(SingularValueError,
+                       match="^symmetrization vanishes at 0; no reciprocal "
+                             "series$"):
+        tiny.reciprocal_series(8)
