@@ -81,6 +81,15 @@ def _parse_series(text, label):
                                for n, c in enumerate(coeffs)])
 
 
+def _require_in_ball(q, label, name):
+    """Reject a point outside the open unit ball, quoting its norm."""
+    norm = abs(q)
+    if norm >= 1.0:
+        raise UsageError("%s must lie in the open unit ball: |%s| = %r"
+                         % (label, name, norm))
+    return q
+
+
 def _quat_list(q):
     return [float(q.w), float(q.x), float(q.y), float(q.z)]
 
@@ -217,9 +226,7 @@ def cmd_sample_field(args):
 # -------------------------------------------------------------- transform
 
 def cmd_transform(args):
-    q = _parse_quat(args.q, "--q")
-    if abs(q) >= 1.0:
-        raise UsageError("--q must lie in the open unit ball")
+    q = _require_in_ball(_parse_quat(args.q, "--q"), "--q", "q")
     if args.matrix:
         A = SpOneOneMatrix(*_parse_entries(args.matrix, "--matrix", "abcd"))
         violated = A.violated_relation(1e-8)
@@ -234,10 +241,10 @@ def cmd_transform(args):
     else:
         m = RegularMobius(*_parse_entries(args.canonical, "--canonical",
                                           "au"))
-        if abs(m.a) >= 1.0:
-            raise UsageError("canonical zero a must lie in the unit ball")
+        _require_in_ball(m.a, "--canonical entry a", "a")
         if abs(abs(m.u) - 1.0) > 1e-6:
-            raise UsageError("canonical unit u must have |u| = 1")
+            raise UsageError("--canonical entry u must have |u| = 1: "
+                             "|u| = %r" % abs(m.u))
         if args.mode == "classical":
             raise UsageError("canonical pairs define regular maps only")
         result = regular_apply(m, q)
@@ -250,10 +257,8 @@ def cmd_transform(args):
 # --------------------------------------------------------------- distance
 
 def cmd_distance(args):
-    p = _parse_quat(args.p, "--p")
-    q = _parse_quat(args.q, "--q")
-    if abs(p) >= 1.0 or abs(q) >= 1.0:
-        raise UsageError("both points must lie in the open unit ball")
+    p = _require_in_ball(_parse_quat(args.p, "--p"), "--p", "p")
+    q = _require_in_ball(_parse_quat(args.q, "--q"), "--q", "q")
     _emit(json.dumps({"delta": delta(p, q)}) + "\n", args.out)
     return 0
 

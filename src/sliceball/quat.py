@@ -11,10 +11,10 @@ Quaternion with array components is a batch of quaternions.  A formula
 built from the arithmetic operators, abs and inv (such as the closed-form
 tensors in geometry) evaluates a batch elementwise with the same
 arithmetic as a scalar call, and a validity check on a batch fails when
-any element fails.  im_norm, max_component_diff and slice_decompose
-also take batches (one value per element, with the scalar rules applied
-to each); comparisons take scalars only.  The samplers return one draw,
-or with size=n a batch of n draws.
+any element fails.  im_norm, max_component_diff, slice_components and
+slice_decompose also take batches (one value per element, with the
+scalar rules applied to each); comparisons take scalars only.  The
+samplers return one draw, or with size=n a batch of n draws.
 
 Values are treated as immutable: all operations return new instances.
 """
@@ -234,27 +234,33 @@ class SliceCoords:
         return complex(self.x, self.y)
 
 
-def slice_decompose(q, zero=EPS_ZERO):
-    """Write q = x + y I with y = |Im q| >= 0.
+def slice_components(q, zero=EPS_ZERO):
+    """Slice coordinates of q as plain numbers (x, y, ux, uy, uz):
+    q = x + y I with y = |Im q| >= 0 and I = ux i + uy j + uz k.
 
-    Real axis points (y <= zero) sit on every slice; the unit defaults
-    to i there and y is clamped to exactly 0.  For a batch the rule
-    holds per element.
+    Real axis points (y <= zero) sit on every slice; the unit is i there
+    and y is exactly 0.  For a batch each number is an array and the
+    rule holds per element.
     """
     y = q.im_norm()
     try:
         if y <= zero:
-            return SliceCoords(I, q.w, 0.0)
+            return q.w, 0.0, 1.0, 0.0, 0.0
     except ValueError:
         # a batch: the same rule per element, dividing no element by zero
         real = y <= zero
         y = np.where(real, 0.0, y)
         d = np.where(real, 1.0, y)
-        unit = Quaternion(np.zeros_like(y), np.where(real, 1.0, q.x / d),
-                          np.where(real, 0.0, q.y / d),
-                          np.where(real, 0.0, q.z / d))
-        return SliceCoords(unit, q.w, y)
-    return SliceCoords(Quaternion(0.0, q.x / y, q.y / y, q.z / y), q.w, y)
+        return (q.w, y, np.where(real, 1.0, q.x / d),
+                np.where(real, 0.0, q.y / d), np.where(real, 0.0, q.z / d))
+    return q.w, y, q.x / y, q.y / y, q.z / y
+
+
+def slice_decompose(q, zero=EPS_ZERO):
+    """Write q = x + y I with y = |Im q| >= 0, by slice_components."""
+    x, y, ux, uy, uz = slice_components(q, zero)
+    w = np.zeros_like(y) if isinstance(y, np.ndarray) else 0.0
+    return SliceCoords(Quaternion(w, ux, uy, uz), x, y)
 
 
 def project_slice(unit, alpha):

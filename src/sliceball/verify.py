@@ -743,6 +743,51 @@ def check_delta_triangle(config, rng):
         yield from _pairs(np.maximum(excess, 0.0), 1e-12)
 
 
+def _disk_div(ax, ay, bx, by):
+    """(ax + i ay) / (bx + i by) in real arithmetic, per element for
+    arrays, since numpy's complex division rounds unlike Python's."""
+    d = bx * bx + by * by
+    return (ax * bx + ay * by) / d, (ay * bx - ax * by) / d
+
+
+def _disk_points(rng, n, radius):
+    """Real and imaginary parts of n points uniform in the disk of the
+    given radius, in polar coordinates."""
+    r = radius * np.sqrt(rng.random(n))
+    t = 2.0 * math.pi * rng.random(n)
+    return r * np.cos(t), r * np.sin(t)
+
+
+def _geodesic_triples(rng, n):
+    """n draws of p, q, r on one random slice, p and r uniform in its
+    disk of radius 0.9 and q = phi_p^{-1}(t phi_p(r)) with t uniform in
+    [0, 1), phi_p(z) = (z - p) / (1 - conj(p) z): q lies on the
+    hyperbolic geodesic from p to r."""
+    unit = random_imaginary_unit(rng, size=n)
+    xp, yp = _disk_points(rng, n, 0.9)
+    xr, yr = _disk_points(rng, n, 0.9)
+    t = rng.random(n)
+    wx, wy = _disk_div(xr - xp, yr - yp, 1.0 - (xp * xr + yp * yr),
+                       yp * xr - xp * yr)
+    wx, wy = t * wx, t * wy
+    xq, yq = _disk_div(wx + xp, wy + yp, 1.0 + (xp * wx + yp * wy),
+                       xp * wy - yp * wx)
+    return tuple(Quaternion(x, y * unit.x, y * unit.y, y * unit.z)
+                 for x, y in ((xp, yp), (xq, yq), (xr, yr)))
+
+
+def check_geodesic_additivity(config, rng):
+    # on a geodesic the strong triangle inequality
+    # delta(p, r) <= (a + b) / (1 + a b), a = delta(p, q), b = delta(q, r),
+    # is an equality; a relative defect e in delta moves it by about
+    # e delta(p, r) 2 a b / (1 + a b), far more than its round-off
+    for p, q, r in _draws(config.samples,
+                          lambda n: _geodesic_triples(rng, n)):
+        a, b = hardy.delta(p, q), hardy.delta(q, r)
+        yield from _pairs(abs(hardy.delta(p, r) - (a + b) / (1.0 + a * b)),
+                          5e-14)
+
+
 def _infinitesimal_ratios(config, draw):
     allowed = 1e-4 * _rtol_scale(config)
     for _ in range(max(3, config.samples // 50)):
@@ -896,6 +941,10 @@ CHECKS = [
     CheckDef("hardy", "delta-triangle",
              "delta satisfies the triangle inequality",
              check_delta_triangle),
+    CheckDef("hardy", "geodesic-additivity",
+             "along a geodesic delta(p, r) = (a + b) / (1 + a b) with "
+             "a = delta(p, q) and b = delta(q, r)",
+             check_geodesic_additivity),
     CheckDef("hardy", "infinitesimal-slice-ratio",
              "on slices the infinitesimal form of delta is the split "
              "tangent norm", check_infinitesimal_slice_ratio),

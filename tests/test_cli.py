@@ -346,6 +346,34 @@ def test_distance(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["distance", "--p", "[1,0,0,0]", "--q", "[0,0,0,0]"],
+     "--p must lie in the open unit ball: |p| = 1.0"),
+    (["distance", "--p", "[0,0,0,0]", "--q", "[0,0.6,0,0.8]"],
+     "--q must lie in the open unit ball: |q| = 1.0"),
+    (["distance", "--p", "[0,0,0,0]", "--q", "[0,0,-1.5,0]"],
+     "--q must lie in the open unit ball: |q| = 1.5"),
+    (["transform", "--canonical", '{"a": [0,0.5,0,0], "u": [1,0,0,0]}',
+      "--q", "[1.5,0,0,0]"],
+     "--q must lie in the open unit ball: |q| = 1.5"),
+    (["transform", "--matrix",
+      '{"a": [1,0,0,0], "b": [0,0,0,0], "c": [0,0,0,0], "d": [1,0,0,0]}',
+      "--q", "[0,0,2,0]"],
+     "--q must lie in the open unit ball: |q| = 2.0"),
+    (["transform", "--canonical", '{"a": [0,0,0,1], "u": [1,0,0,0]}',
+      "--q", "[0.1,0,0,0]"],
+     "--canonical entry a must lie in the open unit ball: |a| = 1.0"),
+    (["transform", "--canonical", '{"a": [0,0.5,0,0], "u": [0,2,0,0]}',
+      "--q", "[0.1,0,0,0]"],
+     "--canonical entry u must have |u| = 1: |u| = 2.0"),
+])
+def test_out_of_range_points_are_quoted(capsys, args, message):
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_series_ops(capsys):
     f = '{"coeffs": [[0,0,0,0],[0,1,0,0]]}'
     code, out, _ = run(capsys, "series", "star", "--f", f, "--g", f)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import assert_qclose
-from sliceball import (EPS_ZERO, ZERO, DomainError, J, ONE, PreconditionError,
-                       Quaternion, delta, infinitesimal_ratio, kernel_inner,
-                       kernel_norm_sq, random_ball_point,
-                       random_imaginary_unit, tail_bound, truncation_for)
+from sliceball import (EPS_ZERO, ZERO, DomainError, I, J, ONE,
+                       PreconditionError, Quaternion, SliceCoords, delta,
+                       infinitesimal_ratio, kernel_inner, kernel_norm_sq,
+                       random_ball_point, random_imaginary_unit, tail_bound,
+                       truncation_for)
+from sliceball.quat import outside_ball
 
 TOL = 1e-10
 
@@ -224,6 +226,114 @@ def test_batch_with_a_point_on_the_sphere_is_rejected(rng):
         delta(_batch(qs), ZERO)
     with pytest.raises(DomainError):
         delta(ZERO, _batch(qs))
+
+
+# -- bit for bit against the Quaternion form ------------------------------
+
+def _reference_slice(q, zero=1e-150):
+    # slice coordinates as SliceCoords with a unit Quaternion
+    y = q.im_norm()
+    try:
+        if y <= zero:
+            return SliceCoords(I, q.w, 0.0)
+    except ValueError:
+        real = y <= zero
+        y = np.where(real, 0.0, y)
+        d = np.where(real, 1.0, y)
+        unit = Quaternion(np.zeros_like(y), np.where(real, 1.0, q.x / d),
+                          np.where(real, 0.0, q.y / d),
+                          np.where(real, 0.0, q.z / d))
+        return SliceCoords(unit, q.w, y)
+    return SliceCoords(Quaternion(0.0, q.x / y, q.y / y, q.z / y), q.w, y)
+
+
+def _reference_delta(p, q):
+    # the same closed form written with SliceCoords, unit Quaternions and
+    # the ball test on abs(q): delta must agree with it bit for bit
+    if outside_ball(p) or outside_ball(q):
+        raise DomainError("p and q must lie in the open unit ball")
+    sq, sp = _reference_slice(q), _reference_slice(p)
+    dx = sq.x - sp.x
+    dx2 = dx * dx
+    dy = sq.y - sp.y
+    sy = sq.y + sp.y
+    near = dx2 + dy * dy
+    far = dx2 + sy * sy
+    s = (1.0 - q.norm_sq()) * (1.0 - p.norm_sq())
+    d2 = 0.25 * ((sq.unit + sp.unit).norm_sq() * near / (near + s)
+                 + (sq.unit - sp.unit).norm_sq() * far / (far + s))
+    try:
+        return math.sqrt(d2)
+    except TypeError:
+        return np.sqrt(d2)
+
+
+def _awkward_points(rng, n):
+    """n points: a quarter uniform, the rest on the real axis, at |Im q|
+    1e-160 or just above 1e-150, or with 1 - |q| from 1e-1 to 1e-9."""
+    points = []
+    for k in range(n):
+        kind = k % 8
+        if kind < 2:
+            points.append(random_ball_point(rng))
+            continue
+        v = _unit4(rng) * (1.0 - 10.0 ** -rng.integers(1, 10)
+                           if kind >= 5 else rng.random())
+        if kind == 2:
+            v[1:] = 0.0
+        elif kind in (3, 4):
+            im = _unit4(rng)[1:]
+            v[1:] = im / math.sqrt(float(im @ im)) \
+                * (1e-160 if kind == 3 else 1.0000001e-150)
+        points.append(Quaternion(*v.tolist()))
+    return points
+
+
+def test_delta_equals_the_quaternion_form_bit_for_bit():
+    rng = np.random.default_rng(15)
+    n = 6000
+    ps, qs = _awkward_points(rng, n), _awkward_points(rng, n)
+    rng.shuffle(qs)
+    for k in range(0, n, 50):
+        qs[k] = ps[k]                   # p = q
+    scalar = [delta(p, q) for p, q in zip(ps, qs)]
+    assert scalar == [_reference_delta(p, q) for p, q in zip(ps, qs)]
+    assert all(type(d) is float for d in scalar)
+    batch = delta(_batch(ps), _batch(qs))
+    assert np.array_equal(batch, _reference_delta(_batch(ps), _batch(qs)))
+    assert np.array_equal(batch, scalar)
+    # a point against a batch, either way round
+    for p in ps[:8]:
+        want = _reference_delta(p, _batch(qs))
+        assert np.array_equal(delta(p, _batch(qs)), want)
+        assert np.array_equal(delta(_batch(qs), p),
+                              _reference_delta(_batch(qs), p))
+
+
+def test_ball_test_on_squared_norms_keeps_its_boundary():
+    # |q|^2 on either side of 1 in steps of one ulp: delta raises exactly
+    # where the abs(q) >= 1 test raises, with the same message
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        v = _unit4(rng) * (1.0 + float(rng.integers(-3, 4)) * 2.0 ** -53)
+        q = Quaternion(*v.tolist())
+        for args in ((q, ZERO), (ZERO, q), (_batch([ZERO, q]), ZERO)):
+            try:
+                want = _reference_delta(*args)
+            except DomainError as e:
+                with pytest.raises(DomainError, match="^%s$" % e):
+                    delta(*args)
+            else:
+                assert np.array_equal(delta(*args), want)
+    for q in (Quaternion(1.0), Quaternion(0.5, 0.5, -0.5, 0.5),
+              Quaternion(0.0, 0.0, -1.0, 0.0)):
+        assert q.norm_sq() == 1.0
+        with pytest.raises(DomainError,
+                           match="^p and q must lie in the open unit ball$"):
+            delta(ZERO, q)
+    below = Quaternion(math.nextafter(1.0, 0.0))
+    assert below.norm_sq() < 1.0
+    assert delta(ZERO, below) == _reference_delta(ZERO, below)
 
 
 def test_infinitesimal_ratio_on_slice():

@@ -12,7 +12,7 @@ from sliceball import (DomainError, I, J, K, ONE, Quaternion,
                        random_ball_point, random_imaginary_unit,
                        random_tangent, random_unit_quaternion,
                        slice_decompose)
-from sliceball.quat import outside_ball
+from sliceball.quat import EPS_ZERO, outside_ball, slice_components
 
 components = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, components, components, components, components)
@@ -83,6 +83,33 @@ def test_slice_decompose_near_real_defaults_to_i():
     assert sc.unit == I
     assert sc.y == 0.0
     assert sc.x == 0.3
+
+
+def test_slice_components_are_plain_numbers(rng):
+    qs = [random_ball_point(rng) for _ in range(50)]
+    qs += [Quaternion(0.5), Quaternion(0.3, 1e-15, 0.0, 0.0),
+           Quaternion(-0.2, 0.0, 2e-13, 0.0),
+           Quaternion(0.1, 1e-140, 0.0, 0.0)]
+    batch = Quaternion(*np.array([c.components() for c in qs]).T)
+    for zero in (EPS_ZERO, 1e-150):
+        scalar = [slice_components(q, zero) for q in qs]
+        for q, got in zip(qs, scalar):
+            y = q.im_norm()
+            assert all(type(c) is float for c in got)
+            assert got == ((q.w, 0.0, 1.0, 0.0, 0.0) if y <= zero
+                           else (q.w, y, q.x / y, q.y / y, q.z / y))
+        # a batch: one array per number, each element the scalar value
+        for got, want in zip(slice_components(batch, zero), zip(*scalar)):
+            assert np.array_equal(got, want)
+        # slice_decompose wraps the same numbers, with a unit Quaternion
+        for q in (qs[0], qs[-1], batch):
+            sc = slice_decompose(q, zero)
+            assert all(np.array_equal(a, b) for a, b in zip(
+                (sc.x, sc.y, sc.unit.x, sc.unit.y, sc.unit.z),
+                slice_components(q, zero)))
+            assert np.array_equal(sc.unit.w, 0.0 * sc.y)
+    assert slice_components(qs[-1], 1e-150) == (0.1, 1e-140, 1.0, 0.0, 0.0)
+    assert slice_components(qs[-1]) == (0.1, 0.0, 1.0, 0.0, 0.0)
 
 
 def test_batched_helpers_equal_scalar_calls(rng):

@@ -670,6 +670,13 @@ def _loop_delta_triangle(config, rng, block):
                1e-12)
 
 
+def _loop_geodesic_additivity(config, rng, block):
+    for p, q, r in _per_draw(config.samples, block,
+                             lambda n: verify._geodesic_triples(rng, n)):
+        a, b = hardy.delta(p, q), hardy.delta(q, r)
+        yield abs(hardy.delta(p, r) - (a + b) / (1.0 + a * b)), 5e-14
+
+
 def _rel_q(v1, v2):
     return max_component_diff(v1, v2) / max(abs(v1), abs(v2), 1e-12)
 
@@ -719,6 +726,7 @@ PER_DRAW_LOOPS = {
     "delta-range": _loop_delta_range,
     "delta-slice-form": _loop_delta_slice_form,
     "delta-triangle": _loop_delta_triangle,
+    "geodesic-additivity": _loop_geodesic_additivity,
 }
 
 
@@ -764,6 +772,39 @@ def test_slice_points_lie_in_the_half_disk_of_their_slice():
     # as many points with x < 0 as with x > 0
     assert abs(np.mean(abs(q) < 0.45) - 0.25) < 0.03
     assert abs(np.mean(sc.x < 0.0) - 0.5) < 0.03
+
+
+def test_geodesic_triples_lie_on_one_geodesic_of_one_slice():
+    rng = np.random.default_rng(12)
+    for p, q, r in zip(*(_scalars(v)
+                         for v in verify._geodesic_triples(rng, 2000))):
+        assert max(abs(p), abs(r)) < 0.9
+        # the imaginary parts are parallel: one slice holds all three
+        for a, b in ((p, q), (p, r)):
+            cross = a.im * b.im
+            assert abs(cross.x) + abs(cross.y) + abs(cross.z) <= 1e-15
+        # phi_p(q) / phi_p(r) = t, in Python complex arithmetic
+        unit = (r.im if r.im_norm() > p.im_norm() else p.im) * (
+            1.0 / max(r.im_norm(), p.im_norm()))
+        z = [complex(c.w, (c.im * unit.conj()).w) for c in (p, q, r)]
+
+        def phi(w):
+            return (w - z[0]) / (1.0 - z[0].conjugate() * w)
+        t = phi(z[1]) / phi(z[2])
+        assert abs(t.imag) <= 1e-9 and -1e-12 <= t.real < 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_geodesic_additivity_catches_a_relative_defect_of_1e_12(
+        monkeypatch, seed):
+    # delta * (1 + 1e-12) leaves delta-origin at a hundredth of its bound
+    # and every other hardy row passing; along a geodesic it shows
+    exact = hardy.delta
+    monkeypatch.setattr(hardy, "delta",
+                        lambda p, q: exact(p, q) * (1.0 + 1e-12))
+    (r,) = run_checks(RunConfig(seed=seed), "hardy/geodesic-additivity")
+    assert r.samples == 1000
+    assert not r.passed and r.max_error > 2.0 * r.tolerance
 
 
 def test_slice_restriction_kahler_passes_where_the_relative_measure_failed():
