@@ -270,20 +270,23 @@ def noninvariance_witness():
 def curve_length(points, metric="G"):
     """Length of a polyline by the composite midpoint rule.
 
+    points is a list of scalar Quaternions or one array Quaternion with
+    1-D components, one element per point; either way at least two.
     Each segment contributes |v| sqrt of the metric at its midpoint in
     its own direction; refining the polyline converges to the smooth
     length.  metric is "G" or "Ghat".  The midpoints are evaluated in
     batches of at most _SEGMENT_BLOCK.
     """
-    if len(points) < 2:
+    if isinstance(points, Quaternion):
+        c = np.array(np.broadcast_arrays(*points.components()), dtype=float)
+    else:
+        c = np.array([p.components() for p in points], dtype=float).T
+    if c.ndim != 2 or c.shape[1] < 2:
         raise PreconditionError("a curve needs at least two points")
     g = _metric_fn(metric)
     total = 0.0
-    for start in range(0, len(points) - 1, _SEGMENT_BLOCK):
-        c = np.array([p.components()
-                      for p in points[start:start + _SEGMENT_BLOCK + 1]],
-                     dtype=float).T
-        mid, v = _segments(c)
+    for start in range(0, c.shape[1] - 1, _SEGMENT_BLOCK):
+        mid, v = _segments(c[:, start:start + _SEGMENT_BLOCK + 1])
         # left to right, as a loop over the segments would add them
         for s in np.sqrt(np.maximum(g(mid, v, v), 0.0)).tolist():
             total += s
@@ -327,8 +330,7 @@ def distance_estimate(p, q, metric="G"):
             x = np.insert(x, range(1, x.shape[1]), mid.components(), axis=1)
         x, energy, steps, converged = _descend(g, x)
         iterations += steps
-        lengths.append(curve_length([Quaternion(*c) for c in x.T.tolist()],
-                                    metric))
+        lengths.append(curve_length(Quaternion(*x), metric))
     return DistanceResult((4.0 * lengths[1] - lengths[0]) / 3.0, converged,
                           iterations, energy)
 

@@ -16,12 +16,15 @@ order as Python floats, exactly as evaluating each element of the block
 with scalar calls would yield them.  A block of power series is one
 RegularPowerSeries with array coefficients, each draw's series padded
 with zero coefficients to the block's largest order; a draw yields
-pairs for its own coefficients only.  Still drawing one value per
-sampler call are canonical-roundtrip (one Newton search per matrix; a
-matrix's 20 points are then evaluated as one batch), the two
+pairs for its own coefficients only.  hermitian-u-independent compares
+50 units per drawn triple, and a block holds _BLOCK // 10 triples with
+all their units, 5000 elements per array call.  Still drawing one value
+per sampler call are canonical-roundtrip (one Newton search per matrix;
+a matrix's 20 points are then evaluated as one batch), the two
 infinitesimal-ratio checks (one probe per draw), and segment-length and
-distance-self, whose draws are fixed in number.  The cost of every
-check grows at most linearly in --samples.
+distance-self, whose draws are fixed in number; segment-length measures
+each of its radii as one array polyline of 4001 points.  The cost of
+every check grows at most linearly in --samples.
 """
 from __future__ import annotations
 
@@ -485,14 +488,15 @@ def check_hermitian_u_independent(config, rng):
     inner = 50
     allowed = 1e-11 * _rtol_scale(config)
 
-    # a row of the block per triple, holding its inner units
+    # a row of the block per triple, holding its inner units; a block of
+    # _BLOCK // 10 triples is 5000 elements per array call, few enough
+    # that its temporaries stay well under a MiB
     def draw(n):
         triple = tuple(_reshape(v, (n, 1))
                        for v in _tangent_triple(config, rng, n))
         return triple + (_reshape(random_unit_quaternion(rng, size=n * inner),
                                   (n, inner)),)
-    for q, a, b, u in _draws(config.samples, draw,
-                             max(1, _BLOCK // inner)):
+    for q, a, b, u in _draws(config.samples, draw, max(1, _BLOCK // 10)):
         ref = geometry.slice_hermitian_via_definition(q, a, b, ONE)
         scale = _larger(abs(ref), 1e-12)
         val = geometry.slice_hermitian_via_definition(q, a, b, u)
@@ -675,8 +679,8 @@ def check_segment_length(config, rng):
     for r in (0.3, 0.5, 0.7):
         unit = random_imaginary_unit(rng)
         target = math.atanh(r)
+        pts = unit * (r * np.arange(4001) / 4000.0)
         for metric in ("Ghat", "G"):
-            pts = [unit * (r * k / 4000.0) for k in range(4001)]
             yield abs(geometry.curve_length(pts, metric) - target), allowed
 
 

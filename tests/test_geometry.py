@@ -9,6 +9,7 @@ from sliceball import (DomainError, I, J, K, ONE, PreconditionError,
                        Quaternion, SingularValueError,
                        arcozzi_sarfatti_norm, classical_differential,
                        conjugation_cu, curve_length, delta, distance_estimate,
+                       geometry,
                        hyperbolic_metric, kahler_rank, max_component_diff,
                        noninvariance_witness, random_ball_point,
                        random_imaginary_unit, random_sp11, random_tangent,
@@ -289,6 +290,10 @@ def test_curve_length_segment():
     assert abs(curve_length(pts, "G") - want) <= 1e-6
     with pytest.raises(PreconditionError):
         curve_length([Quaternion()])
+    # one point as a batch, or as a scalar Quaternion, is no curve either
+    for one in (Quaternion(*np.zeros((4, 1))), Quaternion()):
+        with pytest.raises(PreconditionError):
+            curve_length(one)
     with pytest.raises(ValueError):
         curve_length(pts[:2], "bogus")
 
@@ -305,13 +310,32 @@ def _curve_length_loop(points, metric):
 
 
 def test_curve_length_equals_segment_loop_bit_for_bit(rng):
+    # a list of points and the same points as one array Quaternion
     unit = random_imaginary_unit(rng)
     radial = [unit * (0.7 * k / 4000.0) for k in range(4001)]
     bent = [random_ball_point(rng, 0.1) for _ in range(1203)]
-    for pts in (radial, bent):
+    for pts, batch in ((radial, unit * (0.7 * np.arange(4001) / 4000.0)),
+                       (bent, Quaternion(*np.array([p.components()
+                                                    for p in bent]).T))):
         for metric in ("G", "Ghat"):
-            assert curve_length(pts, metric) \
-                == _curve_length_loop(pts, metric), metric
+            want = _curve_length_loop(pts, metric)
+            assert curve_length(pts, metric) == want, metric
+            assert curve_length(batch, metric) == want, metric
+
+
+def test_distance_estimate_measures_its_polyline_as_one_batch(
+        monkeypatch, rng):
+    # the same distance as measuring the polyline as a list of points
+    pairs = [(random_ball_point(rng, 0.3), random_ball_point(rng, 0.3))
+             for _ in range(2)]
+    batched = [distance_estimate(p, q, metric) for p, q in pairs
+               for metric in ("G", "Ghat")]
+    as_list = geometry.curve_length
+    monkeypatch.setattr(geometry, "curve_length", lambda pts, metric: as_list(
+        [Quaternion(*c) for c in np.array(pts.components()).T.tolist()],
+        metric))
+    assert [distance_estimate(p, q, metric) for p, q in pairs
+            for metric in ("G", "Ghat")] == batched
 
 
 def test_distance_estimate_self(rng):

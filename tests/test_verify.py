@@ -460,7 +460,7 @@ def _loop_hermitian_u_independent(config, rng, block):
     # the inner units of a block's triples are drawn after its triples
     inner = 50
     allowed = 1e-11 * verify._rtol_scale(config)
-    for n in _sizes(config.samples, max(1, block // inner)):
+    for n in _sizes(config.samples, max(1, block // 10)):
         triples = list(zip(*(_scalars(v) for v in _triple(config, rng, n))))
         units = _scalars(random_unit_quaternion(rng, size=n * inner))
         for k, (q, a, b) in enumerate(triples):
@@ -621,6 +621,17 @@ def _loop_slice_restriction_kahler(config, rng, block):
                                   unit * omega_i) / scale, allowed)
 
 
+def _loop_segment_length(config, rng, block):
+    # the radius as a list of scalar points; the row draws no blocks
+    allowed = 1e-6 * verify._rtol_scale(config)
+    for r in (0.3, 0.5, 0.7):
+        unit = random_imaginary_unit(rng)
+        target = math.atanh(r)
+        for metric in ("Ghat", "G"):
+            pts = [unit * (r * k / 4000.0) for k in range(4001)]
+            yield abs(geometry.curve_length(pts, metric) - target), allowed
+
+
 def _ball_points(config, rng, n, count):
     return tuple(random_ball_point(rng, config.boundary_margin, size=n)
                  for _ in range(count))
@@ -721,6 +732,7 @@ PER_DRAW_LOOPS = {
     "representation-kahler": _loop_representation("Omega"),
     "slice-restriction-metric": _loop_slice_restriction_metric,
     "slice-restriction-kahler": _loop_slice_restriction_kahler,
+    "segment-length": _loop_segment_length,
     "delta-origin": _loop_delta_origin,
     "delta-symmetric": _loop_delta_symmetric,
     "delta-range": _loop_delta_range,
