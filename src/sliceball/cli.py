@@ -22,8 +22,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig
-from .errors import (ConversionError, DomainError, PreconditionError,
-                     SingularValueError)
+from .errors import SingularValueError
 from .geometry import hyperbolic_metric, tensor_value
 from .hardy import delta
 from .mobius import (RegularMobius, SpOneOneMatrix, classical_apply,
@@ -371,11 +370,7 @@ def main(argv=None):
         return 0 if not e.code else int(e.code)
     try:
         return args.handler(args)
-    except UsageError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (DomainError, PreconditionError, SingularValueError,
-            ConversionError, ValueError) as e:
+    except (ValueError, SingularValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -287,10 +287,10 @@ def curve_length(points, metric="G"):
     total = 0.0
     for start in range(0, c.shape[1] - 1, _SEGMENT_BLOCK):
         mid, v = _segments(c[:, start:start + _SEGMENT_BLOCK + 1])
-        # left to right, as a loop over the segments would add them
-        for s in np.sqrt(np.maximum(g(mid, v, v), 0.0)).tolist():
-            total += s
-    return total
+        # cumsum adds left to right, as a loop over the segments would
+        lengths = np.sqrt(np.maximum(g(mid, v, v), 0.0))
+        total = np.cumsum(np.concatenate(([total], lengths)))[-1]
+    return float(total)
 
 
 def _metric_fn(metric):

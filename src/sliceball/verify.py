@@ -2,25 +2,25 @@
 
 Each check draws its own deterministic sample stream (seeded from the
 run seed and a stable hash of the check name, so execution order never
-matters) and yields one (error, allowed) pair per compared value of
-one mathematical statement, with allowed derived from the run
-configuration; run_checks alone counts the pairs and judges the worst
-error / allowed ratio.  Pinned tolerances scale linearly with atol / rtol
-relative to their defaults, so tightening either flag makes every
-check strictly harder.
+matters) and yields blocks (errors, allowed) of arrays, one element per
+compared value of one mathematical statement, with allowed derived
+from the run configuration; run_checks alone counts the elements and
+judges the worst error / allowed ratio, one block at a time.  Pinned
+tolerances scale linearly with atol / rtol relative to their defaults,
+so tightening either flag makes every check strictly harder.
 
 Most checks draw their inputs a block of at most _BLOCK draws at a
 time, one sampler call with size=n per value of the draw (_draws), and
-evaluate each block as array Quaternions; the pairs come out in draw
-order as Python floats, exactly as evaluating each element of the block
-with scalar calls would yield them.  A block of power series is one
+evaluate each block as array Quaternions; read in row-major order, a
+block's elements come in draw order, each exactly what evaluating its
+draw with scalar calls would give.  A block of power series is one
 RegularPowerSeries with array coefficients, each draw's series padded
-with zero coefficients to the block's largest order; a draw yields
-pairs for its own coefficients only.  hermitian-u-independent compares
+with zero coefficients to the block's largest order; a block keeps
+each draw's own coefficients only.  hermitian-u-independent compares
 50 units per drawn triple, and a block holds _BLOCK // 10 triples with
 all their units, 5000 elements per array call.  Still drawing one value
 per sampler call are canonical-roundtrip (one Newton search per matrix;
-a matrix's 20 points are then evaluated as one batch), the two
+a matrix's 20 points are then evaluated as one block), the two
 infinitesimal-ratio checks (one probe per draw), and segment-length and
 distance-self, whose draws are fixed in number; segment-length measures
 each of its radii as one array polyline of 4001 points.  The cost of
@@ -110,16 +110,12 @@ def _columns(*values):
     return np.stack(np.broadcast_arrays(*values), axis=-1)
 
 
-def _pairs(errors, allowed, own=None):
-    """(error, allowed) pairs of Python floats, one per element of
-    errors in row-major order (draw order; a row holds one draw's
-    values); either side may be one value for the whole block.  With
-    own, a boolean array of the shape of errors, only the elements it
-    marks give pairs."""
+def _masked(errors, allowed, own):
+    """The block (errors, allowed) cut down to the elements marked by
+    own, a boolean array of the shape of errors, in row-major order;
+    allowed broadcasts against errors."""
     errors, allowed = np.broadcast_arrays(errors, allowed)
-    if own is not None:
-        errors, allowed = errors[own], allowed[own]
-    return zip(errors.ravel().tolist(), allowed.ravel().tolist())
+    return errors[own], allowed[own]
 
 
 def _reshape(q, shape):
@@ -187,8 +183,8 @@ def check_norm_multiplicative(config, rng):
     for p, q in _draws(config.samples, lambda n: (
             random_tangent(rng, size=n), random_tangent(rng, size=n))):
         scale = abs(p) * abs(q)
-        yield from _pairs(abs(abs(p * q) - scale),
-                          1e-12 * _larger(1.0, scale) * _atol_scale(config))
+        yield (abs(abs(p * q) - scale),
+               1e-12 * _larger(1.0, scale) * _atol_scale(config))
 
 
 def check_projection_resolution(config, rng):
@@ -196,7 +192,7 @@ def check_projection_resolution(config, rng):
                           lambda n: _unit_and_tangent(rng, n)):
         par, perp = project_slice(unit, a)
         allowed = config.atol + config.rtol * _larger(1.0, abs(a))
-        yield from _pairs(
+        yield (
             _columns(max_component_diff(par + perp, a),
                      max_component_diff(project_slice(unit, par)[0], par),
                      abs((par * perp.conj()).w)),
@@ -208,15 +204,15 @@ def check_projection_anticommute(config, rng):
     for unit, a in _draws(config.samples,
                           lambda n: _unit_and_tangent(rng, n)):
         perp = project_slice(unit, a)[1]
-        yield from _pairs(max_component_diff(unit * perp, -(perp * unit)),
-                          config.atol + config.rtol * _larger(1.0, abs(a)))
+        yield (max_component_diff(unit * perp, -(perp * unit)),
+               config.atol + config.rtol * _larger(1.0, abs(a)))
 
 
 def check_slice_roundtrip(config, rng):
     for q in _draws(config.samples, lambda n: random_ball_point(
             rng, config.boundary_margin, size=n)):
-        yield from _pairs(max_component_diff(slice_decompose(q).point(), q),
-                          1e-14 * _atol_scale(config))
+        yield (max_component_diff(slice_decompose(q).point(), q),
+               1e-14 * _atol_scale(config))
 
 
 # --------------------------------------------------------------- series
@@ -234,12 +230,13 @@ def _padded_series(coeffs, orders):
 
 
 def _coefficient_pairs(errors, allowed, orders):
-    """_pairs of errors[k], an array over the block per coefficient k of
-    a padded series, for each draw's coefficients k <= orders[i], in
-    draw order; allowed is one value per draw or one for the block."""
+    """The block of errors[k], an array over the block per coefficient k
+    of a padded series, cut down to each draw's coefficients k <=
+    orders[i], in draw order; allowed is one value per draw or one for
+    the block."""
     errors = _columns(*errors)
     own = np.arange(errors.shape[-1]) <= orders[:, None]
-    return _pairs(errors, np.reshape(allowed, (-1, 1)), own)
+    return _masked(errors, np.reshape(allowed, (-1, 1)), own)
 
 
 def _random_series(rng, n, max_order, scale=0.7):
@@ -262,7 +259,7 @@ def check_star_associative(config, rng):
         lhs = f.star(g).star(h)
         rhs = f.star(g.star(h))
         scale = _coeff_scale(lhs, rhs)
-        yield from _coefficient_pairs(
+        yield _coefficient_pairs(
             [max_component_diff(a, b) for a, b in zip(lhs.coeffs, rhs.coeffs)],
             1e-12 * scale * _atol_scale(config), of + og + oh)
 
@@ -273,7 +270,7 @@ def check_symmetrization_commutes(config, rng):
         lhs = f.star(f.conjugate())
         rhs = f.conjugate().star(f)
         scale = _coeff_scale(lhs, rhs)
-        yield from _coefficient_pairs(
+        yield _coefficient_pairs(
             [max_component_diff(a, b) for a, b in zip(lhs.coeffs, rhs.coeffs)],
             1e-12 * scale * _atol_scale(config), 2 * order)
 
@@ -282,7 +279,7 @@ def check_symmetrization_real(config, rng):
     allowed = 1e-13 * _atol_scale(config)
     for f, order in _draws(max(10, config.samples // 5),
                            lambda n: _random_series(rng, n, 8)):
-        yield from _coefficient_pairs(
+        yield _coefficient_pairs(
             [c.im_norm() for c in f.symmetrize().coeffs], allowed, 2 * order)
 
 
@@ -304,9 +301,9 @@ def check_slice_evaluation_homomorphism(config, rng):
     for f, g, q in _draws(config.samples, draw):
         lhs = f.star(g).eval(q)
         rhs = f.eval(q) * g.eval(q)
-        yield from _pairs(max_component_diff(lhs, rhs),
-                          config.atol + config.rtol * 10.0
-                          * _larger(1.0, abs(lhs), abs(rhs)))
+        yield (max_component_diff(lhs, rhs),
+               config.atol + config.rtol * 10.0
+               * _larger(1.0, abs(lhs), abs(rhs)))
 
 
 def _reciprocal_friendly(rng, n):
@@ -331,8 +328,8 @@ def check_reciprocal_residual(config, rng):
     for f, q in _draws(max(10, config.samples // 5), lambda n: (
             _reciprocal_friendly(rng, n), _ball(rng, 0.5, n))):
         recip = f.reciprocal_series(config.truncation)
-        yield from _pairs(_columns(abs(recip.star(f).eval(q) - 1),
-                                   abs(f.star(recip).eval(q) - 1)), allowed)
+        yield (_columns(abs(recip.star(f).eval(q) - 1),
+                        abs(f.star(recip).eval(q) - 1)), allowed)
 
 
 # --------------------------------------------------------------- mobius
@@ -345,7 +342,7 @@ def _random_canonical(rng, radius=0.9, size=None):
 def check_generator_valid(config, rng):
     for A in _draws(config.samples,
                     lambda n: mobius.random_sp11(rng, size=n)):
-        yield from _pairs(A.residual(), 1e-12 * _atol_scale(config))
+        yield A.residual(), 1e-12 * _atol_scale(config)
 
 
 def check_ball_preserved(config, rng):
@@ -354,9 +351,8 @@ def check_ball_preserved(config, rng):
     for A, m, q in _draws(config.samples, lambda n: (
             mobius.random_sp11(rng, size=n), _random_canonical(rng, size=n),
             random_ball_point(rng, config.boundary_margin, size=n))):
-        yield from _pairs(_columns(abs(mobius.classical_apply(A, q)),
-                                   abs(mobius.regular_apply(m, q))),
-                          below_one)
+        yield (_columns(abs(mobius.classical_apply(A, q)),
+                        abs(mobius.regular_apply(m, q))), below_one)
 
 
 def check_fixed_points(config, rng):
@@ -364,7 +360,7 @@ def check_fixed_points(config, rng):
     for m, q in _draws(config.samples, lambda n: (
             _random_canonical(rng, size=n), _ball(rng, 0.9, n))):
         minus_q = mobius.regular_apply(mobius.RegularMobius(ZERO, ONE), q)
-        yield from _pairs(
+        yield (
             _columns(abs(mobius.regular_apply(m, m.a)),
                      max_component_diff(mobius.regular_apply(m, ZERO),
                                         m.a * m.u),
@@ -375,10 +371,9 @@ def check_fixed_points(config, rng):
 def check_closed_vs_series(config, rng):
     for m, q in _draws(config.samples, lambda n: (
             _random_canonical(rng, size=n), _ball(rng, 0.7, n))):
-        yield from _pairs(
-            max_component_diff(mobius.regular_apply(m, q),
-                               mobius.regular_apply_via_series(m, q)),
-            1e-10 * _rtol_scale(config))
+        yield (max_component_diff(mobius.regular_apply(m, q),
+                                  mobius.regular_apply_via_series(m, q)),
+               1e-10 * _rtol_scale(config))
 
 
 def check_differential_fd(config, rng, h=1e-5):
@@ -392,8 +387,7 @@ def check_differential_fd(config, rng, h=1e-5):
         ana_c = mobius.classical_differential(A, q, alpha)
         fd_c = (mobius.classical_apply(A, q + alpha * h)
                 - mobius.classical_apply(A, q - alpha * h)) / (2.0 * h)
-        yield from _pairs(_columns(_rel_q(ana, fd), _rel_q(ana_c, fd_c)),
-                          allowed)
+        yield _columns(_rel_q(ana, fd), _rel_q(ana_c, fd_c)), allowed
 
 
 def check_origin_isotropy(config, rng):
@@ -403,9 +397,9 @@ def check_origin_isotropy(config, rng):
             _ball(rng, 0.9, n))):
         rot = mobius.RegularMobius(ZERO, u)
         # a map whose zero a is away from 0 must move 0; where it does
-        # not, an infinite error follows the draw's pair
+        # not, an infinite error follows the draw's value
         moved = abs(mobius.regular_apply(mobius.RegularMobius(a, u), ZERO))
-        yield from _pairs(
+        yield _masked(
             _columns(max_component_diff(mobius.regular_apply(rot, q),
                                         q * (-u)), math.inf),
             _columns(config.atol + config.rtol, 1.0),
@@ -433,8 +427,8 @@ def check_injectivity(config, rng):
         m, q1 = _random_canonical(rng, size=n), _ball(rng, 0.9, n)
         return m, q1, _redraw_close(rng, q1, _ball(rng, 0.9, n))
     for m, q1, q2 in _draws(config.samples, draw):
-        yield from _pairs(threshold, abs(mobius.regular_apply(m, q1)
-                                         - mobius.regular_apply(m, q2)))
+        yield (threshold, abs(mobius.regular_apply(m, q1)
+                              - mobius.regular_apply(m, q2)))
 
 
 def check_canonical_roundtrip(config, rng):
@@ -449,9 +443,8 @@ def check_canonical_roundtrip(config, rng):
         # 20 scalar draws, evaluated as one batch
         q = Quaternion(*np.array([_ball(rng, 0.7).components()
                                   for _ in range(20)]).T)
-        yield from _pairs(
-            max_component_diff(mobius.regular_apply(m, q),
-                               mobius.matrix_regular_apply(A, q)), allowed)
+        yield (max_component_diff(mobius.regular_apply(m, q),
+                                  mobius.matrix_regular_apply(A, q)), allowed)
 
 
 def check_normalize_pair(config, rng):
@@ -466,9 +459,9 @@ def check_normalize_pair(config, rng):
         m1 = mobius.RegularMobius(a, u1)
         m2 = mobius.RegularMobius(a, u2)
         u = mobius.normalize_pair(m1, m2)
-        yield from _pairs(max_component_diff(mobius.regular_apply(m1, q),
-                                             mobius.regular_apply(m2, q) * u),
-                          1e-12 * _rtol_scale(config))
+        yield (max_component_diff(mobius.regular_apply(m1, q),
+                                  mobius.regular_apply(m2, q) * u),
+               1e-12 * _rtol_scale(config))
 
 
 # ------------------------------------------------------------- geometry
@@ -500,16 +493,15 @@ def check_hermitian_u_independent(config, rng):
         ref = geometry.slice_hermitian_via_definition(q, a, b, ONE)
         scale = _larger(abs(ref), 1e-12)
         val = geometry.slice_hermitian_via_definition(q, a, b, u)
-        yield from _pairs(max_component_diff(val, ref) / scale, allowed)
+        yield max_component_diff(val, ref) / scale, allowed
 
 
 def check_hermitian_closed_form(config, rng):
     allowed = 1e-11 * _rtol_scale(config)
     for q, a, b, u in _draws(config.samples,
                              lambda n: _triple_and_unit(config, rng, n)):
-        yield from _pairs(
-            _rel_q(geometry.slice_hermitian_via_definition(q, a, b, u),
-                   geometry.slice_hermitian(q, a, b)), allowed)
+        yield (_rel_q(geometry.slice_hermitian_via_definition(q, a, b, u),
+                      geometry.slice_hermitian(q, a, b)), allowed)
 
 
 def check_riemannian_triple(config, rng):
@@ -520,18 +512,17 @@ def check_riemannian_triple(config, rng):
         corrected = geometry.slice_riemannian(q, a, b, "corrected")
         via_h = geometry.slice_riemannian(q, a, b, "via-h")
         scale = _cauchy_schwarz(geometry.slice_riemannian, q, a, b)
-        # two pairs per draw: closed vs corrected, then closed vs via-h
-        yield from _pairs(_columns(abs(closed - corrected) / scale,
-                                   abs(closed - via_h) / scale), allowed)
+        # two values per draw: closed vs corrected, then closed vs via-h
+        yield (_columns(abs(closed - corrected) / scale,
+                        abs(closed - via_h) / scale), allowed)
 
 
 def check_riemannian_vs_split_norm(config, rng):
     allowed = 1e-11 * _rtol_scale(config)
     for q, a in _draws(config.samples * 10, lambda n: (
             _ball(rng, 0.9, n), random_tangent(rng, size=n))):
-        yield from _pairs(_rel_s(geometry.slice_riemannian(q, a, a),
-                                 geometry.arcozzi_sarfatti_norm(q, a)),
-                          allowed)
+        yield (_rel_s(geometry.slice_riemannian(q, a, a),
+                      geometry.arcozzi_sarfatti_norm(q, a)), allowed)
 
 
 def check_split_scalar_identity(config, rng):
@@ -542,7 +533,7 @@ def check_split_scalar_identity(config, rng):
         # does; ndarray ** 2 multiplies, which differs from it in the
         # last bit for about 0.07% of values
         rhs = np.float_power(1.0 - q.norm_sq(), 2)
-        yield from _pairs(abs(lhs - rhs), 1e-13 * _atol_scale(config))
+        yield abs(lhs - rhs), 1e-13 * _atol_scale(config)
 
 
 def check_hermitian_symmetric(config, rng):
@@ -550,8 +541,8 @@ def check_hermitian_symmetric(config, rng):
                           lambda n: _tangent_triple(config, rng, n)):
         hab = geometry.slice_hermitian(q, a, b)
         hba = geometry.slice_hermitian(q, b, a)
-        yield from _pairs(max_component_diff(hab, hba.conj()),
-                          config.atol + config.rtol * _larger(1.0, abs(hab)))
+        yield (max_component_diff(hab, hba.conj()),
+               config.atol + config.rtol * _larger(1.0, abs(hab)))
 
 
 def check_hermitian_positive(config, rng):
@@ -563,7 +554,7 @@ def check_hermitian_positive(config, rng):
             h = geometry.slice_hermitian(q, v, v)
             errors.append(np.where(h.w > 0.0, h.im_norm(), math.inf))
             allowed.append(config.atol + config.rtol * _larger(1.0, abs(h)))
-        yield from _pairs(_columns(*errors), _columns(*allowed))
+        yield _columns(*errors), _columns(*allowed)
 
 
 def check_decomposition(config, rng):
@@ -572,8 +563,8 @@ def check_decomposition(config, rng):
         tv = geometry.tensor_value(q, a, b)
         g_closed = geometry.slice_riemannian(q, a, b, "closed")
         recon = Quaternion(g_closed, 0, 0, 0) + tv.omega
-        yield from _pairs(max_component_diff(tv.h, recon),
-                          config.atol + config.rtol * _larger(1.0, abs(tv.h)))
+        yield (max_component_diff(tv.h, recon),
+               config.atol + config.rtol * _larger(1.0, abs(tv.h)))
 
 
 def check_kahler_antisymmetric(config, rng):
@@ -581,15 +572,15 @@ def check_kahler_antisymmetric(config, rng):
                           lambda n: _tangent_triple(config, rng, n)):
         oab = geometry.slice_kahler(q, a, b)
         oba = geometry.slice_kahler(q, b, a)
-        yield from _pairs(max_component_diff(oab, -oba),
-                          config.atol + config.rtol * _larger(1.0, abs(oab)))
+        yield (max_component_diff(oab, -oba),
+               config.atol + config.rtol * _larger(1.0, abs(oab)))
 
 
 def check_kahler_rank(config, rng):
     # error is the rank deficit, so only full rank passes
     for q in _draws(max(5, config.samples // 10),
                     lambda n: _ball(rng, 0.9, n)):
-        yield from _pairs(4.0 - geometry.kahler_rank(q), 0.5)
+        yield 4.0 - geometry.kahler_rank(q), 0.5
 
 
 def check_hyperbolic_invariance(config, rng):
@@ -600,7 +591,7 @@ def check_hyperbolic_invariance(config, rng):
         da = mobius.classical_differential(A, q, a)
         db = mobius.classical_differential(A, q, b)
         ghat = geometry.hyperbolic_metric(q, a, b)
-        yield from _pairs(
+        yield (
             abs(geometry.hyperbolic_metric(image, da, db) - ghat)
             / _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b), allowed)
 
@@ -618,8 +609,7 @@ def check_origin_noninvariance(config, rng):
             random_tangent(rng, size=n), random_tangent(rng, size=n))):
         ta, tb = d.inv() * al * a, d.inv() * be * a
         scale = _larger(1.0, abs(al) * abs(be))
-        yield from _pairs(abs((ta * tb.conj()).w - (al * be.conj()).w)
-                          / scale, allowed)
+        yield abs((ta * tb.conj()).w - (al * be.conj()).w) / scale, allowed
 
 
 def _check_representation(config, rng, tensor):
@@ -635,7 +625,7 @@ def _check_representation(config, rng, tensor):
             error = abs(lhs - rhs) / _cauchy_schwarz(direct, q, a, b)
         else:
             error = _rel_q(lhs, rhs)
-        yield from _pairs(error, allowed)
+        yield error, allowed
 
 
 def check_representation_riemannian(config, rng):
@@ -657,7 +647,7 @@ def check_slice_restriction_metric(config, rng):
         g_i = geometry.slice_restriction_metric(unit, q, a, b)
         # on the slice G and Ghat agree, and so do their scales
         scale = _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b)
-        yield from _pairs(
+        yield (
             _columns(abs(g_i - geometry.slice_riemannian(q, a, b)) / scale,
                      abs(g_i - geometry.hyperbolic_metric(q, a, b)) / scale),
             allowed)
@@ -670,8 +660,8 @@ def check_slice_restriction_kahler(config, rng):
         omega_i = geometry.slice_restriction_kahler(unit, q, a, b)
         # |Omega| <= |H_q(a, b)|, which on the slice is Ghat's scale
         scale = _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b)
-        yield from _pairs(max_component_diff(geometry.slice_kahler(q, a, b),
-                                             unit * omega_i) / scale, allowed)
+        yield (max_component_diff(geometry.slice_kahler(q, a, b),
+                                  unit * omega_i) / scale, allowed)
 
 
 def check_segment_length(config, rng):
@@ -706,19 +696,19 @@ def _ball_draws(config, rng, count, points):
 def check_delta_origin(config, rng):
     allowed = 1e-10 * _rtol_scale(config)
     for (q,) in _ball_draws(config, rng, config.samples, 1):
-        yield from _pairs(abs(hardy.delta(ZERO, q) - abs(q)), allowed)
+        yield abs(hardy.delta(ZERO, q) - abs(q)), allowed
 
 
 def check_delta_symmetric(config, rng):
     # exact: swapping p and q swaps the operands of sums and products only
     for p, q in _ball_draws(config, rng, config.samples, 2):
-        yield from _pairs(abs(hardy.delta(p, q) - hardy.delta(q, p)), 1e-15)
+        yield abs(hardy.delta(p, q) - hardy.delta(q, p)), 1e-15
 
 
 def check_delta_range(config, rng):
     for p, q in _ball_draws(config, rng, config.samples, 2):
         d = hardy.delta(p, q)
-        yield from _pairs(np.maximum(np.maximum(-d, d - 1.0), 0.0), 1e-15)
+        yield np.maximum(np.maximum(-d, d - 1.0), 0.0), 1e-15
 
 
 def check_delta_slice_form(config, rng):
@@ -736,7 +726,7 @@ def check_delta_slice_form(config, rng):
         re = 1.0 - (sq.x * sp.x + sq.y * sp.y)
         im = sq.y * sp.x - sq.x * sp.y
         closed = np.sqrt((dx * dx + dy * dy) / (re * re + im * im))
-        yield from _pairs(abs(hardy.delta(p, q) - closed), allowed)
+        yield abs(hardy.delta(p, q) - closed), allowed
 
 
 def check_delta_triangle(config, rng):
@@ -744,7 +734,7 @@ def check_delta_triangle(config, rng):
     # 5e-14 in the ball |q| <= 0.999 of the default margin
     for p, q, r in _ball_draws(config, rng, config.samples * 10, 3):
         excess = hardy.delta(p, r) - hardy.delta(p, q) - hardy.delta(q, r)
-        yield from _pairs(np.maximum(excess, 0.0), 1e-12)
+        yield np.maximum(excess, 0.0), 1e-12
 
 
 def _disk_div(ax, ay, bx, by):
@@ -788,8 +778,7 @@ def check_geodesic_additivity(config, rng):
     for p, q, r in _draws(config.samples,
                           lambda n: _geodesic_triples(rng, n)):
         a, b = hardy.delta(p, q), hardy.delta(q, r)
-        yield from _pairs(abs(hardy.delta(p, r) - (a + b) / (1.0 + a * b)),
-                          5e-14)
+        yield abs(hardy.delta(p, r) - (a + b) / (1.0 + a * b)), 5e-14
 
 
 def _infinitesimal_ratios(config, draw):
@@ -975,12 +964,18 @@ def _run_check(check, config):
     count, ratio, details = 0, -math.inf, {}
     error = allowed = math.nan
     try:
-        for e, a in check.fn(config, rng):
-            count += 1
-            r = e / a
+        for block in check.fn(config, rng):
+            e, a = (np.ravel(v) for v in np.broadcast_arrays(*block))
+            count += e.size
+            if not e.size:
+                continue
+            with np.errstate(all="ignore"):
+                r = e / a
             # later ties win; a NaN ratio is worse than any number
-            if r >= ratio or r != r:
-                ratio, error, allowed = r, e, a
+            nan = np.isnan(r)
+            i = np.flatnonzero(nan if nan.any() else r == r.max())[-1]
+            if r[i] >= ratio or nan[i]:
+                ratio, error, allowed = float(r[i]), float(e[i]), float(a[i])
     except Exception as exc:
         ratio = error = allowed = math.nan
         details = {"error": "%s: %s" % (type(exc).__name__, exc)}
@@ -992,12 +987,16 @@ def _run_check(check, config):
 def run_checks(config=None, pattern=None):
     """Run all (or the matching) checks; returns CheckResult list.
 
-    A check yields one (error, allowed) pair per compared value.  Its row
-    counts the pairs as samples, reports the pair with the worst ratio
-    error / allowed, and passes when that ratio is at most 1.  A check
-    that yields nothing or a NaN ratio fails.  A check that raises gives
-    a failed row with NaN error and tolerance and details
-    {"error": "<Type>: <message>"}; the other checks still run.
+    A check yields blocks (errors, allowed), two arrays that broadcast
+    together or two numbers, one compared value per element.  Its row
+    counts the elements as samples, reports the worst ratio error /
+    allowed (the last among ties, in yield and row-major order), and
+    passes when that ratio is at most 1.  A NaN ratio is worse than any
+    number, and a zero allowed gives an infinite or NaN ratio.  A check
+    that yields nothing fails.  A check that raises gives a failed row
+    with NaN error and tolerance and details {"error": "<Type>:
+    <message>"}, counting the blocks before the raise; the other checks
+    still run.
     """
     config = config or RunConfig()
     return [_run_check(check, config) for check in CHECKS

@@ -416,6 +416,14 @@ def test_series_usage_errors(capsys):
     assert code == 2
 
 
+def test_series_reciprocal_of_a_series_vanishing_at_0_exits_2(capsys):
+    # SingularValueError is no ValueError; main reports it all the same
+    code, out, err = run(capsys, "series", "reciprocal",
+                         "--f", '{"coeffs":[[0,0,0,0],[1,0,0,0]]}')
+    assert (code, out) == (2, "")
+    assert "error: symmetrization vanishes at 0" in err
+
+
 _BASE_ARGV = {
     "verify": ["verify", "quat/slice-roundtrip", "--samples", "10"],
     "sample-field": ["sample-field", "--grid", "1"],

@@ -139,6 +139,84 @@ def test_check_that_yields_nothing_fails(monkeypatch):
     assert r.samples == 0
 
 
+# each ratio below is 0.75 exactly, so the ties are exact
+_TIED_BLOCKS = [([1.0, 3.0, 6.0, 0.5], [10.0, 4.0, 8.0, 2.0]),
+                ([[1.5, 0.1]], 2.0)]
+
+
+@pytest.mark.parametrize("count, expected", [(1, (4, 6.0, 8.0)),
+                                             (2, (6, 1.5, 2.0))])
+def test_fold_of_blocks_lets_the_later_tie_win(monkeypatch, count, expected):
+    def check(config, rng):
+        for errors, allowed in _TIED_BLOCKS[:count]:
+            yield np.array(errors), np.array(allowed)
+
+    r = _fold(monkeypatch, check)
+    assert (r.samples, r.max_error, r.tolerance) == expected and r.passed
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("blocks, tolerance", [
+    # a NaN in an early block outlives the numbers after it
+    ([([0.0, _NAN, 0.5], [1.0, 2.0, 1.0]), (5.0, 1.0)], 2.0),
+    # a later NaN takes its place
+    ([([0.0, _NAN, 0.5], [1.0, 2.0, 1.0]), (5.0, 1.0), (_NAN, 3.0)], 3.0),
+    # of two NaNs in one block, the last wins
+    ([([_NAN, 1.0, _NAN], [4.0, 1.0, 5.0])], 5.0),
+])
+def test_fold_of_blocks_keeps_the_last_nan(monkeypatch, blocks, tolerance):
+    def check(config, rng):
+        for errors, allowed in blocks:
+            yield np.array(errors), np.array(allowed)
+
+    r = _fold(monkeypatch, check)
+    assert math.isnan(r.max_error) and r.tolerance == tolerance
+    assert not r.passed and r.samples == sum(np.size(e) for e, _ in blocks)
+
+
+@pytest.mark.parametrize("full, samples, passed", [(True, 2, True),
+                                                   (False, 0, False)])
+def test_fold_counts_only_the_marked_elements(monkeypatch, full, samples,
+                                              passed):
+    own = np.array([[False, True], [False, True]])
+
+    def check(config, rng):
+        # the unmarked 9s would fail the row
+        yield verify._masked(np.full((2, 2), 9.0), 1.0, np.zeros_like(own))
+        if full:
+            yield verify._masked(np.array([[9.0, 0.5], [9.0, 0.1]]),
+                                 np.array([[1.0], [0.5]]), own)
+
+    r = _fold(monkeypatch, check)
+    assert (r.samples, r.passed) == (samples, passed)
+    if full:
+        assert (r.max_error, r.tolerance) == (0.5, 1.0)
+
+
+@pytest.mark.parametrize("error", [2e-9, 0.0])
+def test_zero_allowed_fails_the_row_without_raising(monkeypatch, error):
+    # as in injectivity, where allowed is the separation of two images
+    def check(config, rng):
+        yield error, np.array([0.5, 0.0, 0.25])
+
+    r = _fold(monkeypatch, check)
+    assert (r.samples, r.max_error, r.tolerance, r.passed, r.details) \
+        == (3, error, 0.0, False, {})
+
+
+def test_check_that_raises_counts_the_blocks_before(monkeypatch):
+    def check(config, rng):
+        yield np.zeros(3), 1.0
+        raise ArithmeticError("boom")
+
+    r = _fold(monkeypatch, check)
+    assert r.samples == 3 and not r.passed
+    assert math.isnan(r.max_error) and math.isnan(r.tolerance)
+    assert r.details == {"error": "ArithmeticError: boom"}
+
+
 @pytest.mark.parametrize("name, pairs", [("riemannian-vs-split-norm", 1000),
                                          ("riemannian-triple-agreement",
                                           2000)])
@@ -759,14 +837,16 @@ def test_blocks_yield_the_pairs_of_the_per_draw_loop(monkeypatch, name,
     assert all(type(e) is float and type(a) is float for e, a in batched)
 
 
-def _collect(pairs):
-    """The pairs up to the first exception, and that exception as text
-    (None when there was none); canonical-roundtrip's Newton search
-    raises on some seeds."""
+def _collect(blocks):
+    """The (error, allowed) pairs of the yielded blocks, each block
+    broadcast and read in row-major order, up to the first exception,
+    and that exception as text (None when there was none);
+    canonical-roundtrip's Newton search raises on some seeds."""
     out = []
     try:
-        for pair in pairs:
-            out.append(pair)
+        for block in blocks:
+            errors, allowed = np.broadcast_arrays(*block)
+            out.extend(zip(errors.ravel().tolist(), allowed.ravel().tolist()))
     except Exception as exc:
         return out, "%s: %s" % (type(exc).__name__, exc)
     return out, None
