@@ -17,6 +17,7 @@ import contextlib
 import json
 import math
 import os
+import shlex
 import sys
 
 import numpy as np
@@ -105,6 +106,23 @@ def _output(out_path):
 def _emit(text, out_path):
     with _output(out_path) as fh:
         fh.write(text)
+
+
+def _emit_json(payload, args, what, flags, indent=None):
+    """Write payload as strict JSON (RFC 8259 has no NaN or infinity).
+
+    A non-finite value in it, such as an overflow from finite inputs,
+    is a usage error that names what was computed and quotes the input
+    flags among `flags` that were given, so the call can be replayed.
+    """
+    try:
+        text = json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError:
+        given = " ".join("--%s %s" % (f, shlex.quote(str(getattr(args, f))))
+                         for f in flags if getattr(args, f) is not None)
+        raise UsageError("%s gave a non-finite result for %s"
+                         % (what, given))
+    _emit(text + "\n", args.out)
 
 
 # ---------------------------------------------------------------- verify
@@ -205,7 +223,9 @@ def cmd_sample_field(args):
         cells = [c + 0.0 for c in q.components()] + values
         rows = [dict(zip(columns, r[:4] + pair + r[4:] * repeat))
                 for r in zip(*(c.tolist() for c in cells))]
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
+        _emit_json(rows, args,
+                   "sample-field --tensor %s --format json" % args.tensor,
+                   ("slice", "offset", "alpha", "beta", "grid"), indent=2)
         return 0
     w_text = list(map(float.__repr__, grid.w[:, 0] + 0.0))
     xyz_text = list(map(",".join, zip(*(map(float.__repr__, c[0] + 0.0)
@@ -249,7 +269,8 @@ def cmd_transform(args):
         result = regular_apply(m, q)
         payload = {"input": "canonical", "mode": "regular",
                    "q": _quat_list(q), "result": _quat_list(result)}
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit_json(payload, args, "transform --mode %s" % args.mode,
+               ("matrix", "canonical", "q"))
     return 0
 
 
@@ -258,7 +279,7 @@ def cmd_transform(args):
 def cmd_distance(args):
     p = _require_in_ball(_parse_quat(args.p, "--p"), "--p", "p")
     q = _require_in_ball(_parse_quat(args.q, "--q"), "--q", "q")
-    _emit(json.dumps({"delta": delta(p, q)}) + "\n", args.out)
+    _emit_json({"delta": delta(p, q)}, args, "distance", ("p", "q"))
     return 0
 
 
@@ -283,7 +304,9 @@ def cmd_series(args):
             raise UsageError("op eval needs --q")
         q = _parse_quat(args.q, "--q")
         payload = {"value": _quat_list(f.eval(q))}
-    _emit(json.dumps(payload) + "\n", args.out)
+    flags = ("f", "g", "q") + (("truncation",) if args.op == "reciprocal"
+                               else ())
+    _emit_json(payload, args, "series %s" % args.op, flags)
     return 0
 
 

@@ -164,10 +164,26 @@ def regular_differential(m, q, alpha):
 
 
 def matrix_regular_series(A):
-    """Symmetrization and convolution series of rF_A = (qc+d)^{-*} * (qa+b)."""
-    f = RegularPowerSeries([A.d, A.c])
-    g = RegularPowerSeries([A.b, A.a])
-    return f.symmetrize(), f.conjugate().star(g)
+    """Symmetrization and convolution series of rF_A = (qc+d)^{-*} * (qa+b).
+
+    With f = d + qc and g = b + qa both are quadratic, and are written
+    out in closed form:
+
+        f^s     = d conj(d) + q (d conj(c) + c conj(d)) + q^2 c conj(c),
+        f^c * g = conj(d) b + q (conj(d) a + conj(c) b) + q^2 conj(c) a.
+
+    Each coefficient adds its terms to ZERO in the order of the
+    *-product, so every component, signed zeros included, equals that
+    of f.symmetrize() and f.conjugate().star(g), without the *-product's
+    cost on scalar entries.
+    """
+    a, b, c, d = A.a, A.b, A.c, A.d
+    cc, dc = c.conj(), d.conj()
+    sym = RegularPowerSeries([ZERO + d * dc, ZERO + d * cc + c * dc,
+                              ZERO + c * cc])
+    num = RegularPowerSeries([ZERO + dc * b, ZERO + dc * a + cc * b,
+                              ZERO + cc * a])
+    return sym, num
 
 
 def matrix_regular_apply(A, q):
@@ -178,20 +194,21 @@ def matrix_regular_apply(A, q):
     return sym.eval(q).inv() * num.eval(q)
 
 
-def _matrix_regular_differential(sym, num, q, alpha):
-    # derivative of S(q)^{-1} N(q) for quadratic S (real coeffs) and N
+def _matrix_regular_differential(sym, num, q, alpha, si, nv):
+    # derivative of S(q)^{-1} N(q) for quadratic S (real coeffs) and N,
+    # given si = S(q)^{-1} and nv = N(q)
     s1, s2 = sym.coeffs[1].w, sym.coeffs[2].w
     n1, n2 = num.coeffs[1], num.coeffs[2]
     pair = q * alpha + alpha * q
     ds = pair * s2 + alpha * s1
     dn = pair * n2 + alpha * n1
-    si = sym.eval(q).inv()
-    return si * dn - si * ds * si * num.eval(q)
+    return si * dn - si * ds * si * nv
 
 
 def matrix_regular_differential(A, q, alpha):
     sym, num = matrix_regular_series(A)
-    return _matrix_regular_differential(sym, num, q, alpha)
+    return _matrix_regular_differential(sym, num, q, alpha,
+                                        sym.eval(q).inv(), num.eval(q))
 
 
 def matrix_to_canonical(A):
@@ -202,6 +219,12 @@ def matrix_to_canonical(A):
     valid matrix, so the start always exists; 0 is the fallback).  The
     unit u then comes from rF_A(0) = a u, or from the differential at
     the zero when a is numerically 0, since rF(q) = -q u there.
+
+    With rF_A = S^{-1} N for the series S, N of matrix_regular_series,
+    each iterate evaluates S(q)^{-1} and N(q) once, and the residual and
+    the four Jacobian columns share them, as does the differential for
+    u at a numerically zero a: two Horner evaluations and one inversion
+    per iterate.
     """
     if not A.is_valid(1e-8):
         raise PreconditionError(
@@ -218,11 +241,13 @@ def matrix_to_canonical(A):
     basis = (ONE, I, J, K)
     converged = False
     for _ in range(_NEWTON_CAP):
-        val = sym.eval(q).inv() * num.eval(q)
+        si, nv = sym.eval(q).inv(), num.eval(q)
+        val = si * nv
         if abs(val) <= _NEWTON_RESIDUAL:
             converged = True
             break
-        cols = [_matrix_regular_differential(sym, num, q, e) for e in basis]
+        cols = [_matrix_regular_differential(sym, num, q, e, si, nv)
+                for e in basis]
         jac = np.array([[c.w for c in cols], [c.x for c in cols],
                         [c.y for c in cols], [c.z for c in cols]])
         rhs = -np.array(val.components())
@@ -239,7 +264,8 @@ def matrix_to_canonical(A):
     if abs(a) > _DEGENERATE_ZERO:
         u = a.inv() * (A.d.inv() * A.b)
     else:
-        u = -_matrix_regular_differential(sym, num, a, ONE) \
+        # the last iterate is a, so si and nv are S(a)^{-1} and N(a)
+        u = -_matrix_regular_differential(sym, num, a, ONE, si, nv) \
             * (1.0 - a.norm_sq())
     u = u / abs(u)
     return RegularMobius(a, u)

@@ -424,6 +424,33 @@ def test_series_reciprocal_of_a_series_vanishing_at_0_exits_2(capsys):
     assert "error: symmetrization vanishes at 0" in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["series", "star", "--f", '{"coeffs":[[1e308,0,0,0]]}',
+      "--g", '{"coeffs":[[1e308,0,0,0]]}'], "series star"),
+    (["series", "symmetrize",
+      "--f", '{"coeffs":[[1e200,1e200,0,0],[1e200,0,0,0]]}'],
+     "series symmetrize"),
+    (["series", "eval", "--f", '{"coeffs":[[1e308,0,0,0],[1e308,0,0,0]]}',
+      "--q", "[0.9,0,0,0]"], "series eval"),
+    (["sample-field", "--tensor", "Ghat", "--format", "json", "--grid", "1",
+      "--alpha", "[1e200,0,0,0]", "--beta", "[1e200,0,0,0]"],
+     "sample-field --tensor Ghat --format json"),
+])
+def test_non_finite_result_exits_2_and_quotes_the_inputs(capsys, tmp_path,
+                                                          argv, what):
+    # finite inputs that overflow: no Infinity or NaN is printed, and the
+    # message names the operation and quotes each input flag for a shell
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s gave a non-finite result for " % what)
+    for flag, value in zip(argv, argv[1:]):
+        if flag in ("--f", "--g", "--q", "--alpha", "--beta"):
+            assert "%s '%s'" % (flag, value) in err
+    target = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(target))[0] == 2
+    assert not target.exists()
+
+
 _BASE_ARGV = {
     "verify": ["verify", "quat/slice-roundtrip", "--samples", "10"],
     "sample-field": ["sample-field", "--grid", "1"],

@@ -8,11 +8,13 @@ from sliceball import (DomainError, I, J, K, ONE, PreconditionError,
                        Quaternion, RegularMobius, SpOneOneMatrix, ZERO,
                        classical_apply, classical_differential,
                        conjugation_cu, matrix_regular_apply,
-                       matrix_regular_differential, matrix_to_canonical,
-                       max_component_diff, normalize_pair, random_ball_point,
-                       random_sp11, random_unit_quaternion, regular_apply,
+                       matrix_regular_differential, matrix_regular_series,
+                       matrix_to_canonical, max_component_diff,
+                       normalize_pair, random_ball_point, random_sp11,
+                       random_unit_quaternion, regular_apply,
                        regular_apply_via_series, regular_differential,
                        rotation_ru)
+from sliceball.series import RegularPowerSeries
 
 
 def boost(t):
@@ -227,6 +229,59 @@ def test_matrix_to_canonical_near_identity(rng):
         q = random_ball_point(rng)
         assert_qclose(regular_apply(m, q), matrix_regular_apply(A, q),
                       atol=1e-8)
+
+
+def _star_series(A):
+    # the series of matrix_regular_series through the *-product
+    f = RegularPowerSeries([A.d, A.c])
+    g = RegularPowerSeries([A.b, A.a])
+    return f.symmetrize(), f.conjugate().star(g)
+
+
+def _series_bits(series, shape):
+    # float.hex of every component of every element of every coefficient
+    return [float.hex(v) for f in series for c in f.coeffs
+            for comp in c.components()
+            for v in np.broadcast_to(comp, shape).ravel().tolist()]
+
+
+def test_closed_form_series_equal_the_star_product_bit_for_bit(rng):
+    # every component, signed zeros included; the identity and the
+    # diagonal matrices have zero entries b and c, with signs chosen so
+    # that d conj(c) and conj(c) a have components -0.0
+    cases = [(SpOneOneMatrix.identity(), ()),
+             (SpOneOneMatrix.diagonal(Quaternion(0.0, -0.6, 0.0, 0.8),
+                                      -J), ()),
+             (SpOneOneMatrix.diagonal(Quaternion(0.5, -0.5, -0.5, 0.5),
+                                      Quaternion(0.5, 0.5, -0.5, -0.5)), ())]
+    for max_boost in (1.5, 3.0):
+        cases += [(random_sp11(rng, max_boost), ()) for _ in range(20)]
+        cases.append((random_sp11(rng, max_boost, size=50), (50,)))
+    for A, shape in cases:
+        got, want = matrix_regular_series(A), _star_series(A)
+        assert _series_bits(got, shape) == _series_bits(want, shape)
+
+
+def test_newton_evaluates_each_series_once_per_iterate(monkeypatch):
+    # S(q) and N(q) are evaluated once per iterate, so a search with
+    # `solves` Newton steps makes 2 (solves + 1) Horner evaluations
+    calls = {"eval": 0, "solve": 0}
+    real_eval, real_solve = RegularPowerSeries.eval, np.linalg.solve
+
+    def counted_eval(self, q):
+        calls["eval"] += 1
+        return real_eval(self, q)
+
+    def counted_solve(jac, rhs):
+        calls["solve"] += 1
+        return real_solve(jac, rhs)
+
+    A = random_sp11(np.random.default_rng(3))
+    monkeypatch.setattr(RegularPowerSeries, "eval", counted_eval)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    m = matrix_to_canonical(A)
+    assert abs(m.a) > 1e-8 and calls["solve"] > 0
+    assert calls["eval"] == 2 * (calls["solve"] + 1)
 
 
 def test_matrix_to_canonical_rejects_invalid():

@@ -237,3 +237,80 @@ def test_singular_element_of_a_batch_raises_as_a_scalar_does():
                        match="^symmetrization vanishes at 0; no reciprocal "
                              "series$"):
         tiny.reciprocal_series(8)
+
+
+def _reference_star(f, g):
+    """The *-product as a double loop over k and l, adding a_k b_l into
+    coefficient k + l: the reference for RegularPowerSeries.star."""
+    a, b = f.coeffs, g.coeffs
+    out = [Quaternion(0.0, 0.0, 0.0, 0.0)
+           for _ in range(len(a) + len(b) - 1)]
+    for k, ak in enumerate(a):
+        for l, bl in enumerate(b):
+            out[k + l] = out[k + l] + ak * bl
+    return out
+
+
+def _bits(q, shape):
+    # float.hex of every component of every element: equal bits, so a
+    # signed zero differs from its opposite
+    return [[float.hex(v) for v in np.broadcast_to(c, shape).ravel().tolist()]
+            for c in q.components()]
+
+
+def _assert_star_matches_reference(f, g):
+    got, want = f.star(g).coeffs, _reference_star(f, g)
+    assert len(got) == len(want)
+    shape = np.broadcast_shapes(*(np.shape(v) for c in f.coeffs + g.coeffs
+                                  for v in c.components()))
+    for n, (p, q) in enumerate(zip(got, want)):
+        assert _bits(p, shape) == _bits(q, shape), n
+
+
+def _signed_coeffs(rng, count, size=None):
+    # Gaussian components with a third of them set to +0.0 or -0.0, so
+    # that products have signed zero terms
+    shape = (count, 4) if size is None else (count, 4, size)
+    v = rng.standard_normal(shape)
+    zero = rng.random(shape) < 1 / 3
+    v[zero] = np.copysign(0.0, rng.standard_normal(int(zero.sum())))
+    if size is None:
+        return [Quaternion(*c.tolist()) for c in v]
+    return [Quaternion(*c) for c in v]
+
+
+def test_star_matches_the_double_loop_on_scalar_series(rng):
+    for order_f, order_g in [(0, 0), (1, 1), (0, 5), (6, 2), (8, 8)]:
+        f = RegularPowerSeries(_signed_coeffs(rng, order_f + 1))
+        g = RegularPowerSeries(_signed_coeffs(rng, order_g + 1))
+        _assert_star_matches_reference(f, g)
+        for c in f.star(g).coeffs:
+            assert all(type(v) is float for v in c.components())
+
+
+def test_star_matches_the_double_loop_on_padded_batches(rng):
+    # each draw pads its series of order 0 to 8 with zero coefficients
+    for _ in range(5):
+        f, g = (_padded_batch([RegularPowerSeries(_signed_coeffs(rng, k + 1))
+                               for k in rng.integers(0, 9, 30)])
+                for _ in range(2))
+        _assert_star_matches_reference(f, g)
+        _assert_star_matches_reference(g, f)
+
+
+def test_star_matches_the_double_loop_for_a_scalar_against_a_batch(rng):
+    scalar = RegularPowerSeries(_signed_coeffs(rng, 4))
+    batch = RegularPowerSeries(_signed_coeffs(rng, 6, size=25))
+    _assert_star_matches_reference(scalar, batch)
+    _assert_star_matches_reference(batch, scalar)
+
+
+def test_star_matches_the_double_loop_for_a_real_left_factor(rng):
+    # as in reciprocal_series: real array coefficients, whose x, y and z
+    # are the Python float 0.0, against a batch of quaternion series
+    real = RegularPowerSeries(list(rng.standard_normal((12, 25))))
+    batch = RegularPowerSeries(_signed_coeffs(rng, 5, size=25))
+    _assert_star_matches_reference(real, batch)
+    real = RegularPowerSeries(rng.standard_normal(12).tolist())
+    _assert_star_matches_reference(real, RegularPowerSeries(
+        _signed_coeffs(rng, 5)))
