@@ -1,12 +1,13 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from sliceball import (ONE, ZERO, Quaternion, RegularMobius,
-                       RegularPowerSeries, RunConfig, SpOneOneMatrix,
-                       geometry, hardy, max_component_diff,
+from sliceball import (ONE, ZERO, ConversionError, Quaternion,
+                       RegularMobius, RegularPowerSeries, RunConfig,
+                       SpOneOneMatrix, geometry, hardy, max_component_diff,
                        mobius, normalize_pair, project_slice,
                        random_ball_point, random_imaginary_unit, random_sp11,
                        random_tangent, random_unit_quaternion, run_checks,
@@ -953,3 +954,84 @@ def test_samples_grow_linearly_in_the_samples_option(seed):
              for s, g in zip(small, large)
              if s.passed and g.passed and g.samples > 12 * s.samples]
     assert not grown, grown
+
+
+# -- seeded defects: one small defect, put into one library function by
+# monkeypatch, must fail the named row at default samples
+
+_REAL_RIEMANNIAN = geometry.slice_riemannian
+_REAL_APPLY = mobius.regular_apply
+
+
+def _flipped_correction(q, alpha, beta, formula="closed"):
+    # slice_riemannian with "corrected" giving Ghat minus the off-slice
+    # correction 4 |Im q|^2 Re(perp(a) perp(b)) / (|1-q^2|^2 (1-|q|^2)^2)
+    value = _REAL_RIEMANNIAN(q, alpha, beta, formula)
+    if formula != "corrected":
+        return value
+    unit = slice_decompose(q).unit
+    perp_a, perp_b = (project_slice(unit, v)[1] for v in (alpha, beta))
+    den = 1.0 - q.norm_sq()
+    correction = (4.0 * q.im_norm() ** 2 * (perp_a * perp_b).w
+                  / ((1 - q * q).norm_sq() * den * den))
+    return value - 2.0 * correction
+
+
+def _conjugated_hermitian(q, alpha, beta):
+    # slice_hermitian with a - q a conj(q) for a - q a q
+    left = (1 - q * q).inv()
+    ta = alpha - q * alpha * q.conj()
+    tb = (beta - q * beta * q.conj()).conj()
+    den = 1.0 - q.norm_sq()
+    return left * ta * tb * left.conj() / (den * den)
+
+
+def _u_on_the_left(m, q):
+    # regular_apply with u multiplying from the left
+    return m.u * _REAL_APPLY(RegularMobius(m.a, ONE), q)
+
+
+_DEFECTS = [(geometry, "slice_riemannian", _flipped_correction,
+             "geometry/riemannian-triple-agreement"),
+            (geometry, "slice_hermitian", _conjugated_hermitian,
+             "geometry/hermitian-closed-form"),
+            (mobius, "regular_apply", _u_on_the_left,
+             "mobius/closed-vs-series")]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("module, name, defect, row", _DEFECTS,
+                         ids=[d[1] for d in _DEFECTS])
+def test_seeded_defect_fails_its_row(monkeypatch, seed, module, name,
+                                     defect, row):
+    config = RunConfig(seed=seed)
+    assert run_checks(config, row)[0].passed
+    monkeypatch.setattr(module, name, defect)
+    (r,) = run_checks(config, row)
+    assert not r.passed and r.max_error > r.tolerance
+
+
+def test_jacobian_without_the_quotient_term_fails_canonical_roundtrip(
+        monkeypatch):
+    # Newton with d(S^{-1} N) taken as S^{-1} dN, dropping -dS S^{-1} N,
+    # misses a zero that the true Jacobian finds at seed 2
+    config = RunConfig(seed=2)
+    assert run_checks(config, "mobius/canonical-roundtrip")[0].passed
+    monkeypatch.setattr(mobius, "_quotient_terms",
+                        lambda sym, num, v: (num.coeffs[2], num.coeffs[1]))
+    (r,) = run_checks(config, "mobius/canonical-roundtrip")
+    assert not r.passed
+    assert r.details["error"].startswith(
+        "ConversionError: zero search did not converge")
+
+
+def test_raised_canonical_roundtrip_row_can_be_replayed():
+    # the row's error quotes the matrix whose search failed, as the JSON
+    # object of `transform --matrix`; rebuilding it raises the same error
+    (r,) = run_checks(RunConfig(seed=1), "mobius/canonical-roundtrip")
+    error = r.details["error"]
+    data = json.loads(error.split(" for --matrix ")[1])
+    A = SpOneOneMatrix(*(Quaternion(*data[n]) for n in "abcd"))
+    with pytest.raises(ConversionError) as replay:
+        mobius.matrix_to_canonical(A)
+    assert "ConversionError: %s" % replay.value == error
