@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DEFAULT_TRUNCATION, RunConfig
 from .errors import SingularValueError
 from .geometry import hyperbolic_metric, tensor_value
 from .hardy import delta
@@ -136,8 +136,7 @@ def cmd_verify(args):
         except ValueError:
             raise UsageError("%s must be an integer, got %r"
                              % (_ENV_SEED, raw))
-    config = RunConfig(seed=seed, samples=args.samples,
-                       truncation=args.truncation, atol=args.atol,
+    config = RunConfig(seed=seed, samples=args.samples, atol=args.atol,
                        rtol=args.rtol)
     results = run_checks(config, args.pattern)
     if not results:
@@ -320,7 +319,6 @@ _SHARED_FLAGS = {
     "--samples": dict(type=int, default=RunConfig.samples),
     "--atol": dict(type=float, default=RunConfig.atol),
     "--rtol": dict(type=float, default=RunConfig.rtol),
-    "--truncation": dict(type=int, default=RunConfig.truncation),
     "--out": dict(default=None, help="write output to a file"),
 }
 
@@ -379,7 +377,8 @@ def build_parser():
     p.add_argument("--f", required=True, help='JSON {"coeffs": [...]}')
     p.add_argument("--g", default=None)
     p.add_argument("--q", default=None)
-    _add_shared(p, "--truncation", "--out")
+    p.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+    _add_shared(p, "--out")
     p.set_defaults(handler=cmd_series)
 
     return parser

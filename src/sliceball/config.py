@@ -16,7 +16,6 @@ DEFAULT_BOUNDARY_MARGIN = 1e-3   # samplers stay inside |q| <= 1 - margin
 class RunConfig:
     seed: int = DEFAULT_SEED
     samples: int = DEFAULT_SAMPLES
-    truncation: int = DEFAULT_TRUNCATION
     atol: float = DEFAULT_ATOL
     rtol: float = DEFAULT_RTOL
     boundary_margin: float = DEFAULT_BOUNDARY_MARGIN
@@ -26,8 +25,6 @@ class RunConfig:
             raise ValueError("samples must be at least 1")
         if not 0.0 < self.boundary_margin < 1.0:
             raise ValueError("boundary_margin must lie in (0, 1)")
-        if self.truncation < 1:
-            raise ValueError("truncation must be at least 1")
         for name in ("atol", "rtol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .mobius import RegularMobius, regular_differential
-from .quat import (I, J, K, ONE, Quaternion, outside_ball, project_slice,
-                   slice_decompose)
+from .quat import (I, J, K, ONE, Quaternion, any_of, outside_ball,
+                   project_slice, slice_decompose)
 
 _BASIS = (ONE, I, J, K)
 
@@ -87,14 +87,15 @@ def slice_hermitian_via_definition(q, alpha, beta, u=ONE):
 
 
 def slice_riemannian(q, alpha, beta, formula="closed"):
-    """G_q(alpha, beta) = Re H_q(alpha, beta), by one of three routes.
+    """G_q(alpha, beta) = Re H_q(alpha, beta), by one of two routes.
 
     formula="closed"     Re((a - q a q) conj(b - q b q)) over
                          |1 - q^2|^2 (1 - |q|^2)^2,
     formula="corrected"  Ghat plus the off-slice correction
                          4 |Im q|^2 Re(perp(a) perp(b)) /
-                         (|1 - q^2|^2 (1 - |q|^2)^2),
-    formula="via-h"      real part of the Hermitian closed form.
+                         (|1 - q^2|^2 (1 - |q|^2)^2).
+
+    The real part of slice_hermitian is a third route to the same value.
 
     "corrected" splits Ghat along the slice of q.  Its off-slice part
     -Re(perp(a) perp(b)) / (1 - |q|^2)^2 and the correction are each
@@ -106,8 +107,6 @@ def slice_riemannian(q, alpha, beta, formula="closed"):
             - Re(perp(a) perp(b)) / |1 - q^2|^2.
     """
     _check_base(q)
-    if formula == "via-h":
-        return slice_hermitian(q, alpha, beta).w
     one_minus_q2 = 1 - q * q
     m2 = one_minus_q2.norm_sq()
     den = 1.0 - q.norm_sq()
@@ -123,7 +122,7 @@ def slice_riemannian(q, alpha, beta, formula="closed"):
         # plain product here, not conj: perp parts anticommute with I
         return ((par_a * par_b.conj()).w / den2
                 - (perp_a * perp_b).w / m2)
-    raise ValueError("formula must be 'closed', 'corrected' or 'via-h'")
+    raise ValueError("formula must be 'closed' or 'corrected'")
 
 
 def arcozzi_sarfatti_norm(q, alpha):
@@ -164,9 +163,7 @@ def tensor_value(q, alpha, beta):
 
 def _require_on_slice(unit, label, value, tol=1e-12):
     size = abs(project_slice(unit, value)[1])
-    # a batch fails when any element is off the slice
-    off = size > tol
-    if off is not False and (off is True or off.any()):
+    if any_of(size > tol):
         raise PreconditionError(
             "%s has a component of size %g off the slice"
             % (label, np.max(size)))

@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import arcozzi_sarfatti_norm
-from .quat import (Quaternion, outside_ball, slice_components,
-                   slice_decompose)
+from .quat import (Quaternion, any_of, outside_ball, slice_components,
+                   slice_decompose, sqrt)
 
 _ORDER_CAP = 2_000_000
 _TRUNCATION_TOL = 1e-10     # default tail bound of truncation_for
@@ -144,8 +144,7 @@ def delta(p, q):
     """
     nq = q.norm_sq()
     np_ = p.norm_sq()
-    outside = (nq >= 1.0) | (np_ >= 1.0)
-    if outside is not False and (outside is True or outside.any()):
+    if any_of((nq >= 1.0) | (np_ >= 1.0)):
         raise DomainError("p and q must lie in the open unit ball")
     xq, yq, uq1, uq2, uq3 = slice_components(q, _REAL_AXIS)
     xp, yp, up1, up2, up3 = slice_components(p, _REAL_AXIS)
@@ -161,11 +160,7 @@ def delta(p, q):
     c1, c2, c3 = uq1 - up1, uq2 - up2, uq3 - up3
     minus = c1 * c1 + c2 * c2 + c3 * c3  # |u - v|^2
     d2 = 0.25 * (plus * near / (near + s) + minus * far / (far + s))
-    try:
-        return math.sqrt(d2)
-    except TypeError:
-        # array components: one distance per element
-        return np.sqrt(d2)
+    return sqrt(d2)
 
 
 def _neville_at_zero(ts, values):
@@ -183,7 +178,8 @@ def _neville_at_zero(ts, values):
 @dataclass(frozen=True)
 class InfinitesimalProbe:
     """Extrapolated limit of delta(q, q + t alpha) / t with the tangent
-    norm it should reproduce."""
+    norm it should reproduce.  For a batch each field is an array with
+    one value per element, and step_values a tuple of them."""
     limit: float
     norm: float
     ratio: float
@@ -197,9 +193,11 @@ def infinitesimal_ratio(q, alpha, steps=(1e-2, 5e-3, 2.5e-3, 1.25e-3)):
     Evaluates delta(q, q + t alpha) / t on the given decreasing steps
     and extrapolates the polynomial error model to t = 0.  The reported
     ratio compares the limit to sqrt of the split tangent norm; the
-    probe is conclusive when the extrapolation table has settled.
+    probe is conclusive when the extrapolation table has settled.  q and
+    alpha may be batches; each element gets exactly the value of a
+    scalar call, and the guards fail when any element fails.
     """
-    if abs(alpha) <= 1e-12:
+    if any_of(abs(alpha) <= 1e-12):
         raise PreconditionError("probe direction must be nonzero")
     steps = tuple(float(t) for t in steps)
     if len(steps) < 3 or any(t <= 0 for t in steps) \
@@ -207,12 +205,12 @@ def infinitesimal_ratio(q, alpha, steps=(1e-2, 5e-3, 2.5e-3, 1.25e-3)):
         raise PreconditionError("steps must be positive and decreasing")
     if outside_ball(q):
         raise DomainError("q must lie in the open unit ball")
-    if abs(q + alpha * steps[0]) >= 1.0:
+    if outside_ball(q + alpha * steps[0]):
         raise DomainError("largest probe step leaves the unit ball")
     values = tuple(delta(q, q + alpha * t) / t for t in steps)
     limit, settle = _neville_at_zero(steps, values)
-    norm = math.sqrt(arcozzi_sarfatti_norm(q, alpha))
-    conclusive = settle <= 1e-5 * (abs(limit) + 1.0) and limit > 0.0
-    return InfinitesimalProbe(limit=limit, norm=norm,
-                              ratio=limit / norm if norm > 0 else math.inf,
+    # positive, since G is positive definite and |alpha| > 1e-12
+    norm = sqrt(arcozzi_sarfatti_norm(q, alpha))
+    conclusive = (settle <= 1e-5 * (abs(limit) + 1.0)) & (limit > 0.0)
+    return InfinitesimalProbe(limit=limit, norm=norm, ratio=limit / norm,
                               conclusive=conclusive, step_values=values)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .config import DEFAULT_BOUNDARY_MARGIN
 from .errors import ConversionError, DomainError, PreconditionError
-from .quat import (ONE, Quaternion, ZERO, max_component_diff, outside_ball,
-                   random_unit_quaternion)
+from .quat import (ONE, Quaternion, ZERO, any_of, max_component_diff,
+                   outside_ball, random_unit_quaternion)
 from .series import RegularPowerSeries
 
 _NEWTON_CAP = 100
@@ -58,14 +58,10 @@ class SpOneOneMatrix:
                 abs(a.conj() * c - b.conj() * d))
 
     def residual(self):
-        """Largest deviation from the three defining relations; NaN when
-        any deviation is NaN.  Per element for a batch of matrices."""
+        """Largest deviation from the three defining relations (NaN when
+        any is NaN), per element for a batch of matrices."""
         devs = self._deviations()
-        try:
-            return math.nan if any(d != d for d in devs) else max(devs)
-        except ValueError:
-            # array entries: np.maximum keeps a NaN
-            return np.maximum(np.maximum(devs[0], devs[1]), devs[2])
+        return np.maximum(np.maximum(devs[0], devs[1]), devs[2])
 
     def is_valid(self, tol=1e-10):
         return self.residual() <= tol
@@ -327,7 +323,7 @@ def matrix_to_canonical(A):
 
 def normalize_pair(m1, m2, tol=1e-10):
     """Unit u with m1 = R_u after m2, for canonical maps sharing a zero."""
-    if np.any(max_component_diff(m1.a, m2.a) > tol):
+    if any_of(max_component_diff(m1.a, m2.a) > tol):
         raise PreconditionError("canonical forms have different zeros")
     return m2.u.inv() * m1.u
 

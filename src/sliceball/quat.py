@@ -16,6 +16,9 @@ slice_decompose also take batches (one value per element, with the
 scalar rules applied to each); comparisons take scalars only.  The
 samplers return one draw, or with size=n a batch of n draws.
 
+Other modules tell a scalar from a batch only through any_of and sqrt:
+every validity check raises through any_of, and sqrt serves both.
+
 Values are treated as immutable: all operations return new instances.
 """
 from __future__ import annotations
@@ -106,12 +109,7 @@ class Quaternion:
         return self
 
     def __abs__(self):
-        try:
-            return math.sqrt(self.w * self.w + self.x * self.x
-                             + self.y * self.y + self.z * self.z)
-        except TypeError:
-            # array components: one norm per element
-            return np.sqrt(self.norm_sq())
+        return sqrt(self.norm_sq())
 
     def norm_sq(self):
         return (self.w * self.w + self.x * self.x
@@ -123,8 +121,7 @@ class Quaternion:
     def inv(self):
         """Multiplicative inverse conj(q) / |q|^2."""
         n = self.norm_sq()
-        small = n <= EPS_ZERO * EPS_ZERO
-        if small is not False and (small is True or small.any()):
+        if any_of(n <= EPS_ZERO * EPS_ZERO):
             raise SingularValueError(
                 "cannot invert quaternion with |q| <= %g" % EPS_ZERO)
         return Quaternion(self.w / n, -self.x / n, -self.y / n, -self.z / n)
@@ -141,13 +138,7 @@ class Quaternion:
         return Quaternion(0.0, self.x, self.y, self.z)
 
     def im_norm(self):
-        try:
-            return math.sqrt(self.x * self.x + self.y * self.y
-                             + self.z * self.z)
-        except TypeError:
-            # array components: one norm per element
-            return np.sqrt(self.x * self.x + self.y * self.y
-                           + self.z * self.z)
+        return sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def components(self):
         return (self.w, self.x, self.y, self.z)
@@ -179,32 +170,31 @@ J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
+def any_of(mask):
+    """Whether mask holds: a bool, or for a batch whether any element
+    does."""
+    return mask is True or (mask is not False and bool(mask.any()))
+
+
+def sqrt(x):
+    """math.sqrt for a float, np.sqrt per element for an array."""
+    try:
+        return math.sqrt(x)
+    except TypeError:
+        # an array; math.sqrt goes first, as scalar delta takes three
+        return np.sqrt(x)
+
+
 def max_component_diff(p, q):
     """Largest |p - q| component, or NaN when any component differs by
-    NaN; per element for a batch."""
-    try:
-        # unrolled: builtin max drops a NaN that is not its first argument
-        m = abs(p.w - q.w)
-        d = abs(p.x - q.x)
-        if d > m or d != d:
-            m = d
-        d = abs(p.y - q.y)
-        if d > m or d != d:
-            m = d
-        d = abs(p.z - q.z)
-        if d > m or d != d:
-            m = d
-        return m
-    except ValueError:
-        # array components: comparing them raised
-        return np.maximum(np.maximum(abs(p.w - q.w), abs(p.x - q.x)),
-                          np.maximum(abs(p.y - q.y), abs(p.z - q.z)))
+    NaN; per element for a batch, an np.float64 for scalars."""
+    return np.maximum(np.maximum(abs(p.w - q.w), abs(p.x - q.x)),
+                      np.maximum(abs(p.y - q.y), abs(p.z - q.z)))
 
 
 def outside_ball(q, radius=1.0):
     """Whether |q| >= radius; a batch is outside when any element is."""
-    outside = abs(q) >= radius
-    return outside is not False and (outside is True or bool(outside.any()))
+    return any_of(abs(q) >= radius)
 
 
 def is_imaginary_unit(q, tol=1e-9):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import DEFAULT_TRUNCATION
 from .errors import DomainError, SingularValueError
-from .quat import _REAL, EPS_ZERO, Quaternion
+from .quat import _REAL, EPS_ZERO, Quaternion, any_of, outside_ball
 
 
 # Quaternion.__mul__ as (component of p, component of q, added) per
@@ -64,9 +64,7 @@ class RegularPowerSeries:
 
     def eval(self, q):
         """Horner evaluation a_0 + q (a_1 + q (a_2 + ...)), |q| < 1."""
-        # a batch fails when any element lies outside
-        outside = abs(q) >= 1.0
-        if outside is not False and (outside is True or outside.any()):
+        if outside_ball(q):
             raise DomainError("series are functions on the open unit ball")
         acc = self.coeffs[-1]
         for a in reversed(self.coeffs[:-1]):
@@ -127,9 +125,7 @@ class RegularPowerSeries:
         the zero set Z_{f^s}.
         """
         sv = self.symmetrize().eval(q)
-        # a batch fails when any element is singular
-        small = abs(sv) <= EPS_ZERO
-        if small is not False and (small is True or small.any()):
+        if any_of(abs(sv) <= EPS_ZERO):
             raise SingularValueError(
                 "q lies on the zero set Z_{f^s} of the symmetrization")
         return sv.inv() * self.conjugate().eval(q)
@@ -144,8 +140,7 @@ class RegularPowerSeries:
         sym = self.symmetrize()
         # real up to round-off; the recursion works on the real parts
         s = [c.w for c in sym.coeffs]
-        small = abs(s[0]) <= EPS_ZERO
-        if small is not False and (small is True or small.any()):
+        if any_of(abs(s[0]) <= EPS_ZERO):
             raise SingularValueError(
                 "symmetrization vanishes at 0; no reciprocal series")
         t = [1.0 / s[0]]

@@ -20,11 +20,11 @@ each draw's own coefficients only.  hermitian-u-independent compares
 50 units per drawn triple, and a block holds _BLOCK // 10 triples with
 all their units, 5000 elements per array call.  Still drawing one value
 per sampler call are canonical-roundtrip (one Newton search per matrix;
-a matrix's 20 points are then evaluated as one block), the two
-infinitesimal-ratio checks (one probe per draw), and segment-length and
-distance-self, whose draws are fixed in number; segment-length measures
-each of its radii as one array polyline of 4001 points.  The cost of
-every check grows at most linearly in --samples.
+a matrix's 20 points are then evaluated as one block), and
+segment-length and distance-self, whose draws are fixed in number;
+segment-length measures each of its radii as one array polyline of
+4001 points.  The cost of every check grows at most linearly in
+--samples.
 """
 from __future__ import annotations
 
@@ -39,7 +39,8 @@ from . import geometry, hardy, mobius
 from .config import DEFAULT_ATOL, DEFAULT_RTOL, RunConfig
 from .quat import (I, J, K, ONE, Quaternion, ZERO, max_component_diff,
                    project_slice, random_ball_point, random_imaginary_unit,
-                   random_tangent, random_unit_quaternion, slice_decompose)
+                   random_tangent, random_unit_quaternion, slice_decompose,
+                   sqrt)
 from .series import RegularPowerSeries
 
 _BASIS = (ONE, I, J, K)
@@ -69,11 +70,8 @@ def _rtol_scale(config):
 
 
 def _larger(*values):
-    """max(values), taken per element when a value is an array."""
-    try:
-        return max(values)
-    except ValueError:
-        return functools.reduce(np.maximum, values)
+    """Largest of values, per element for arrays; NaN when any is NaN."""
+    return functools.reduce(np.maximum, values)
 
 
 def _rel_q(v1, v2):
@@ -91,8 +89,7 @@ def _cauchy_schwarz(metric, q, a, b):
     for nearly orthogonal a and b, so round-off is measured against it;
     for G it equals |H_q(a, b)|.
     """
-    s = metric(q, a, a) * metric(q, b, b)
-    return np.sqrt(s) if isinstance(s, np.ndarray) else math.sqrt(s)
+    return sqrt(metric(q, a, a) * metric(q, b, b))
 
 
 def _draws(count, draw, block=None):
@@ -133,14 +130,6 @@ def _ball(rng, radius, size=None):
     return random_ball_point(rng, margin=0.0, size=size) * radius
 
 
-def _slice_point(rng, unit, radius):
-    while True:
-        x = float(rng.uniform(-radius, radius))
-        y = float(rng.uniform(0.0, radius))
-        if x * x + y * y < radius * radius:
-            return Quaternion(x, y * unit.x, y * unit.y, y * unit.z)
-
-
 def _slice_points(rng, unit, radius):
     """One point per element of the batch unit, uniform in the half disk
     x + y unit, x^2 + y^2 < radius^2, y >= 0, in polar coordinates (no
@@ -150,12 +139,6 @@ def _slice_points(rng, unit, radius):
     t = math.pi * rng.random(n)
     x, y = r * np.cos(t), r * np.sin(t)
     return Quaternion(x, y * unit.x, y * unit.y, y * unit.z)
-
-
-def _slice_tangent(rng, unit):
-    g = rng.standard_normal(2)
-    return Quaternion(float(g[0]), float(g[1]) * unit.x,
-                      float(g[1]) * unit.y, float(g[1]) * unit.z)
 
 
 def _slice_tangents(rng, unit):
@@ -306,6 +289,24 @@ def check_slice_evaluation_homomorphism(config, rng):
                * _larger(1.0, abs(lhs), abs(rhs)))
 
 
+def check_star_evaluation(config, rng):
+    # off the slices the opposite product breaks this identity by O(1);
+    # the bound is eps times (sum_k |a_k|) (sum_l |b_l|), about 100 times
+    # the worst over seeds 1-100
+    for (f, _), (g, _), q in _draws(config.samples, lambda n: (
+            _random_series(rng, n, 8), _random_series(rng, n, 8),
+            _ball(rng, 0.9, n))):
+        fq = f.eval(q)
+        own = abs(fq) > 1e-6
+        # inv raises on a batch with any small element
+        safe = _where(own, fq, ONE)
+        rhs = fq * g.eval(safe.inv() * q * safe)
+        scale = (sum(abs(c) for c in f.coeffs)
+                 * sum(abs(c) for c in g.coeffs))
+        yield _masked(max_component_diff(f.star(g).eval(q), rhs),
+                      4e-14 * scale * _atol_scale(config), own)
+
+
 def _reciprocal_friendly(rng, n):
     # spectrum kept away from the ball so the reciprocal series converges
     # fast on |q| <= 0.5: each draw is either a Moebius linear factor
@@ -327,7 +328,7 @@ def check_reciprocal_residual(config, rng):
     allowed = 1e-9 * _rtol_scale(config)
     for f, q in _draws(max(10, config.samples // 5), lambda n: (
             _reciprocal_friendly(rng, n), _ball(rng, 0.5, n))):
-        recip = f.reciprocal_series(config.truncation)
+        recip = f.reciprocal_series()
         yield (_columns(abs(recip.star(f).eval(q) - 1),
                         abs(f.star(recip).eval(q) - 1)), allowed)
 
@@ -510,7 +511,7 @@ def check_riemannian_triple(config, rng):
                           lambda n: _tangent_triple(config, rng, n)):
         closed = geometry.slice_riemannian(q, a, b, "closed")
         corrected = geometry.slice_riemannian(q, a, b, "corrected")
-        via_h = geometry.slice_riemannian(q, a, b, "via-h")
+        via_h = geometry.slice_hermitian(q, a, b).w
         scale = _cauchy_schwarz(geometry.slice_riemannian, q, a, b)
         # two values per draw: closed vs corrected, then closed vs via-h
         yield (_columns(abs(closed - corrected) / scale,
@@ -782,27 +783,24 @@ def check_geodesic_additivity(config, rng):
 
 
 def _infinitesimal_ratios(config, draw):
+    # an inconclusive probe counts as an infinite error
     allowed = 1e-4 * _rtol_scale(config)
-    for _ in range(max(3, config.samples // 50)):
-        q, a = draw()
-        if abs(a) < 1e-3:
-            continue
+    for q, a in _draws(max(3, config.samples // 50), draw):
         probe = hardy.infinitesimal_ratio(q, a)
-        if not probe.conclusive:
-            yield math.inf, 1.0
-        yield abs(probe.ratio - 1.0), allowed
+        yield _masked(np.where(probe.conclusive, abs(probe.ratio - 1.0),
+                               math.inf), allowed, abs(a) >= 1e-3)
 
 
 def check_infinitesimal_slice_ratio(config, rng):
-    def draw():
-        unit = random_imaginary_unit(rng)
-        return _slice_point(rng, unit, 0.8), _slice_tangent(rng, unit)
+    def draw(n):
+        unit = random_imaginary_unit(rng, size=n)
+        return _slice_points(rng, unit, 0.8), _slice_tangents(rng, unit)
     return _infinitesimal_ratios(config, draw)
 
 
 def check_infinitesimal_ratio(config, rng):
-    return _infinitesimal_ratios(
-        config, lambda: (_ball(rng, 0.8), random_tangent(rng)))
+    return _infinitesimal_ratios(config, lambda n: (
+        _ball(rng, 0.8, n), random_tangent(rng, size=n)))
 
 
 # -------------------------------------------------------------- registry
@@ -838,6 +836,9 @@ CHECKS = [
     CheckDef("series", "slice-evaluation-homomorphism",
              "on a common slice, evaluation turns * into the pointwise "
              "product", check_slice_evaluation_homomorphism),
+    CheckDef("series", "star-evaluation",
+             "(f * g)(q) equals f(q) g(f(q)^{-1} q f(q)) where f(q) is "
+             "not 0", check_star_evaluation),
     CheckDef("series", "reciprocal-residual",
              "f * f^{-*} evaluates to 1 on |q| <= 1/2",
              check_reciprocal_residual),

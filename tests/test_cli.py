@@ -460,7 +460,7 @@ _BASE_ARGV = {
     "series": ["series", "conjugate", "--f", '{"coeffs": [[1,0,0,0]]}'],
 }
 _REMOVED_FLAGS = {
-    "verify": ["--tol"],
+    "verify": ["--tol", "--truncation"],
     "sample-field": ["--seed", "--samples", "--tol", "--atol", "--rtol",
                      "--truncation"],
     "transform": ["--seed", "--samples", "--tol", "--atol", "--rtol",
@@ -489,15 +489,14 @@ def test_cli_settable_values():
                        if not isinstance(a, argparse._HelpAction)]
                 for name, p in subparsers.choices.items()}
     assert settable == {
-        "verify": ["pattern", "seed", "samples", "atol", "rtol",
-                   "truncation", "out"],
+        "verify": ["pattern", "seed", "samples", "atol", "rtol", "out"],
         "sample-field": ["tensor", "slice", "offset", "alpha", "beta",
                          "grid", "format", "out"],
         "transform": ["matrix", "canonical", "q", "mode", "out"],
         "distance": ["p", "q", "out"],
         "series": ["op", "f", "g", "q", "truncation", "out"],
     }
-    assert sum(map(len, settable.values())) == 29
+    assert sum(map(len, settable.values())) == 28
 
 
 @pytest.mark.parametrize("value", ["[0,0,true,0]", "[0,NaN,0,0]",

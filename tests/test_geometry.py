@@ -29,8 +29,7 @@ def test_tensor_spot_values_on_slice_tangent():
     assert abs(slice_riemannian(HALF_I, J, J) - 0.64) <= 1e-14
     assert abs(slice_riemannian(HALF_I, J, J, formula="corrected")
                - 0.64) <= 1e-14
-    assert abs(slice_riemannian(HALF_I, J, J, formula="via-h")
-               - 0.64) <= 1e-14
+    assert abs(slice_hermitian(HALF_I, J, J).w - 0.64) <= 1e-14
     assert abs(arcozzi_sarfatti_norm(HALF_I, J) - 0.64) <= 1e-14
     assert abs(hyperbolic_metric(HALF_I, J, J) - 16.0 / 9.0) <= 1e-14
     assert abs(arcozzi_sarfatti_norm(HALF_I, ONE) - 16.0 / 9.0) <= 1e-14
@@ -68,7 +67,7 @@ def test_riemannian_formulas_agree(rng):
         beta = Quaternion(*rng.standard_normal(4))
         g1 = slice_riemannian(q, alpha, beta)
         g2 = slice_riemannian(q, alpha, beta, formula="corrected")
-        g3 = slice_riemannian(q, alpha, beta, formula="via-h")
+        g3 = slice_hermitian(q, alpha, beta).w
         scale = max(abs(g1), 1.0)
         assert abs(g1 - g2) <= 1e-11 * scale
         assert abs(g1 - g3) <= 1e-11 * scale
@@ -109,9 +108,10 @@ def test_riemannian_formulas_match_mpmath_at_a_cancelling_witness():
     with mpmath.workdps(50):
         want = _mp_riemannian(q, a, b)
         scale = mpmath.sqrt(_mp_riemannian(q, a, a) * _mp_riemannian(q, b, b))
-        for formula in ("closed", "corrected", "via-h"):
+        for formula in ("closed", "corrected"):
             got = slice_riemannian(q, a, b, formula)
             assert abs(got - want) <= 1e-14 * scale, formula
+        assert abs(slice_hermitian(q, a, b).w - want) <= 1e-14 * scale
 
 
 def test_riemannian_equals_split_norm(rng):

@@ -370,6 +370,34 @@ def test_infinitesimal_ratio_off_slice():
     assert len(probe.step_values) == 4
 
 
+def test_infinitesimal_ratio_of_a_batch_is_the_scalar_one_per_element(rng):
+    # random points and tangents, then a real point with a slice tangent
+    # and one at 0.95 whose probe does not settle
+    n = 30
+    q = random_ball_point(rng, margin=0.1, size=n + 2)
+    alpha = Quaternion(*rng.standard_normal((4, n + 2)))
+    q.w[n:], q.x[n:], q.y[n:], q.z[n:] = (0.5, 0.95), 0.0, 0.0, 0.0
+    alpha.w[n], alpha.x[n], alpha.y[n], alpha.z[n] = 0.0, 0.0, 1.0, 0.0
+    batch = infinitesimal_ratio(q, alpha)
+    conclusive = batch.conclusive.tolist()
+    assert conclusive[n] and not conclusive[n + 1]
+    for i in range(n + 2):
+        qi, ai = (Quaternion(*(c[i] for c in v.components()))
+                  for v in (q, alpha))
+        probe = infinitesimal_ratio(qi, ai)
+        assert probe.conclusive is conclusive[i]
+        assert (probe.limit, probe.norm, probe.ratio) == (
+            batch.limit[i], batch.norm[i], batch.ratio[i])
+        assert probe.step_values == tuple(v[i] for v in batch.step_values)
+    # a batch fails when any element does
+    alpha.w[3] = alpha.x[3] = alpha.y[3] = alpha.z[3] = 0.0
+    with pytest.raises(PreconditionError):
+        infinitesimal_ratio(q, alpha)
+    q.x[5] = 1.0
+    with pytest.raises(DomainError):
+        infinitesimal_ratio(q, ONE)
+
+
 def test_infinitesimal_ratio_validation():
     with pytest.raises(PreconditionError):
         infinitesimal_ratio(Quaternion(0.5), Quaternion())

@@ -86,8 +86,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(atol=-1.0)
     with pytest.raises(ValueError):
-        RunConfig(truncation=0)
-    with pytest.raises(ValueError):
         RunConfig(boundary_margin=2.0)
 
 
@@ -393,6 +391,20 @@ def _loop_slice_evaluation_homomorphism(config, rng, block):
                    * max(1.0, abs(lhs), abs(rhs)))
 
 
+def _loop_star_evaluation(config, rng, block):
+    for n in _sizes(config.samples, block):
+        fs, gs = _series_draws(rng, n, 8), _series_draws(rng, n, 8)
+        for f, g, q in zip(fs, gs, _scalars(_ball(rng, 0.9, n))):
+            fq = f.eval(q)
+            if abs(fq) <= 1e-6:
+                continue
+            rhs = fq * g.eval(fq.inv() * q * fq)
+            scale = (sum(abs(c) for c in f.coeffs)
+                     * sum(abs(c) for c in g.coeffs))
+            yield (max_component_diff(f.star(g).eval(q), rhs),
+                   4e-14 * scale * verify._atol_scale(config))
+
+
 def _loop_reciprocal_residual(config, rng, block):
     # a linear factor or a perturbed unit constant per draw; the block
     # draws the values of both kinds for every draw
@@ -411,7 +423,7 @@ def _loop_reciprocal_residual(config, rng, block):
             else:
                 f = RegularPowerSeries(
                     [units[i]] + [tails[k][i] for k in range(orders[i])])
-            recip = f.reciprocal_series(config.truncation)
+            recip = f.reciprocal_series()
             yield abs(recip.star(f).eval(points[i]) - 1), allowed
             yield abs(f.star(recip).eval(points[i]) - 1), allowed
 
@@ -564,7 +576,7 @@ def _loop_riemannian_triple(config, rng, block):
                              lambda n: _triple(config, rng, n)):
         closed = geometry.slice_riemannian(q, a, b, "closed")
         corrected = geometry.slice_riemannian(q, a, b, "corrected")
-        via_h = geometry.slice_riemannian(q, a, b, "via-h")
+        via_h = geometry.slice_hermitian(q, a, b).w
         scale = math.sqrt(geometry.slice_riemannian(q, a, a)
                           * geometry.slice_riemannian(q, b, b))
         yield abs(closed - corrected) / scale, allowed
@@ -767,6 +779,25 @@ def _loop_geodesic_additivity(config, rng, block):
         yield abs(hardy.delta(p, r) - (a + b) / (1.0 + a * b)), 5e-14
 
 
+def _loop_infinitesimal(draw):
+    def loop(config, rng, block):
+        allowed = 1e-4 * verify._rtol_scale(config)
+        for q, a in _per_draw(max(3, config.samples // 50), block,
+                              lambda n: draw(rng, n)):
+            if abs(a) < 1e-3:
+                continue
+            probe = hardy.infinitesimal_ratio(q, a)
+            yield (abs(probe.ratio - 1.0) if probe.conclusive else math.inf,
+                   allowed)
+    return loop
+
+
+def _slice_probe(rng, n):
+    unit = random_imaginary_unit(rng, size=n)
+    return (verify._slice_points(rng, unit, 0.8),
+            verify._slice_tangents(rng, unit))
+
+
 def _rel_q(v1, v2):
     return max_component_diff(v1, v2) / max(abs(v1), abs(v2), 1e-12)
 
@@ -784,6 +815,7 @@ PER_DRAW_LOOPS = {
     "symmetrization-commutes": _loop_symmetrization_commutes,
     "symmetrization-real": _loop_symmetrization_real,
     "slice-evaluation-homomorphism": _loop_slice_evaluation_homomorphism,
+    "star-evaluation": _loop_star_evaluation,
     "reciprocal-residual": _loop_reciprocal_residual,
     "generator-valid": _loop_generator_valid,
     "ball-preserved": _loop_ball_preserved,
@@ -818,6 +850,9 @@ PER_DRAW_LOOPS = {
     "delta-slice-form": _loop_delta_slice_form,
     "delta-triangle": _loop_delta_triangle,
     "geodesic-additivity": _loop_geodesic_additivity,
+    "infinitesimal-slice-ratio": _loop_infinitesimal(_slice_probe),
+    "infinitesimal-ratio": _loop_infinitesimal(lambda rng, n: (
+        _ball(rng, 0.8, n), random_tangent(rng, size=n))),
 }
 
 
@@ -961,6 +996,7 @@ def test_samples_grow_linearly_in_the_samples_option(seed):
 
 _REAL_RIEMANNIAN = geometry.slice_riemannian
 _REAL_APPLY = mobius.regular_apply
+_REAL_STAR = RegularPowerSeries.star
 
 
 def _flipped_correction(q, alpha, beta, formula="closed"):
@@ -991,12 +1027,19 @@ def _u_on_the_left(m, q):
     return m.u * _REAL_APPLY(RegularMobius(m.a, ONE), q)
 
 
+def _swapped_star(f, g):
+    # the opposite product g * f
+    return _REAL_STAR(g, f)
+
+
 _DEFECTS = [(geometry, "slice_riemannian", _flipped_correction,
              "geometry/riemannian-triple-agreement"),
             (geometry, "slice_hermitian", _conjugated_hermitian,
              "geometry/hermitian-closed-form"),
             (mobius, "regular_apply", _u_on_the_left,
-             "mobius/closed-vs-series")]
+             "mobius/closed-vs-series"),
+            (RegularPowerSeries, "star", _swapped_star,
+             "series/star-evaluation")]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
