@@ -35,7 +35,6 @@ from .series import RegularPowerSeries
 _NEWTON_CAP = 100
 _NEWTON_DAMPING = 0.5
 _NEWTON_RESIDUAL = 5e-14
-_DEGENERATE_ZERO = 1e-8
 
 # the defining relations of SpOneOneMatrix, in the order of _deviations
 _RELATIONS = ("|a|^2 - |b|^2 = 1", "|d|^2 - |c|^2 = 1",
@@ -97,7 +96,7 @@ def classical_differential(A, q, alpha):
     return -(den * (alpha * A.c) * den * num) + den * (alpha * A.a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegularMobius:
     """Canonical pair (a, u): q -> (q conj(a) - 1)^{-*} * (q - a) . u."""
     a: Quaternion
@@ -201,26 +200,13 @@ def _quotient_terms(sym, num, v):
             num.coeffs[1] - v * sym.coeffs[1].w)
 
 
-def _matrix_regular_differential(si, c2, pair, alpha_c1):
-    # d(S^{-1} N)_q(alpha) given si = S(q)^{-1}, c2 of _quotient_terms,
-    # pair = q alpha + alpha q and alpha_c1 = alpha c1
-    return si * (pair * c2 + alpha_c1)
-
-
-def _basis_pairs(q):
-    # q e + e q for e = 1, i, j, k; each component equals that of the
-    # two products and their sum, the cross terms cancelling exactly
-    w, x, y, z = q.w + q.w, q.x + q.x, q.y + q.y, q.z + q.z
-    return (Quaternion(w, x, y, z), Quaternion(-x, w, 0.0, 0.0),
-            Quaternion(-y, 0.0, w, 0.0), Quaternion(-z, 0.0, 0.0, w))
-
-
-def _basis_left_products(c):
-    # e c for e = 1, i, j, k: signed permutations of c's components,
-    # each equal to the component of the product
-    w, x, y, z = c.w, c.x, c.y, c.z
-    return (c, Quaternion(-x, w, -z, y), Quaternion(-y, z, w, -x),
-            Quaternion(-z, -y, x, w))
+def _newton_step(q, n, c2, c1):
+    # the e with q e c2 + e b = -n, b = q c2 + c1, in the closed form
+    # derived in matrix_to_canonical
+    b = q * c2 + c1
+    dot = b.w * c2.w + b.x * c2.x + b.y * c2.y + b.z * c2.z
+    m = (q * q) * c2.norm_sq() + q * (2.0 * dot) + b.norm_sq()
+    return m.inv() * -(q * n * c2.conj() + n * b.conj())
 
 
 def matrix_regular_differential(A, q, alpha):
@@ -233,8 +219,7 @@ def matrix_regular_differential(A, q, alpha):
     sym, num = matrix_regular_series(A)
     si = sym.eval(q).inv()
     c2, c1 = _quotient_terms(sym, num, si * num.eval(q))
-    return _matrix_regular_differential(si, c2, q * alpha + alpha * q,
-                                        alpha * c1)
+    return si * ((q * alpha + alpha * q) * c2 + alpha * c1)
 
 
 def _matrix_json(A):
@@ -250,21 +235,38 @@ def matrix_to_canonical(A):
     a is the unique zero of rF_A in the ball, located by damped Newton
     started at the zero -b a^{-1} of the classical map (|a| >= 1 for a
     valid matrix, so the start always exists; 0 is the fallback).  The
-    unit u then comes from rF_A(0) = a u, or from the differential at
-    the zero when a is numerically 0, since rF(q) = -q u there.
+    unit u then comes from the differential at the zero: the canonical
+    map has dF_a(1) = (1 - a^2)^{-1} (a^2 - 1) / (1 - |a|^2) . u
+    = -u / (1 - |a|^2), which divides by nothing small for any a.
 
     With rF_A = S^{-1} N for the series S, N of matrix_regular_series,
     each iterate evaluates S(q)^{-1} and N(q) once: two Horner
     evaluations and one inversion.  The residual v = S(q)^{-1} N(q)
     gives c2 = n2 - s2 v and c1 = n1 - s1 v, and by the quotient rule
-    Jacobian column e = 1, i, j, k is S(q)^{-1} ((q e + e q) c2 + e c1),
-    with q e + e q and e c1 written out in closed form, each equal to
-    its products: 10 quaternion products per Jacobian, where
-    S^{-1} dN - S^{-1} dS S^{-1} N takes 10 per column and differs only
-    in rounding.  The differential for u at a numerically zero a uses
-    the same identity.  Each step is damped by 0.5, an iterate that
-    reaches the unit sphere is clamped back inside it, and the search
-    stops at residual 5e-14 or after 100 iterations.
+    dF_q(e) = S(q)^{-1} ((q e + e q) c2 + e c1).  S has real
+    coefficients, so the Newton equation dF_q(e) = -v is the
+    quaternion Sylvester equation
+
+        q e c2 + e B = -N(q),   B = q c2 + c1.
+
+    An equation p x + x b = c has the solution
+    (p^2 + 2 Re(b) p + |b|^2)^{-1} (p c + c conj(b)): multiply it by p
+    on the left and by conj(b) on the right, add the two, and use
+    b + conj(b) = 2 Re(b).  Multiplying by conj(c2) on the right first,
+    so that c2 is never inverted, gives the step
+
+        e = m^{-1} (-q N(q) conj(c2) - N(q) conj(B)),
+        m = |c2|^2 q^2 + 2 <B, c2> q + |B|^2,
+
+    with < , > the dot product of R^4: 6 quaternion products and one
+    inversion, equal to the step of the 4x4 real Jacobian up to
+    rounding, and no linear algebra library.  m lies on the slice of q
+    and is zero exactly when that Jacobian is singular; where |m| <=
+    quat.EPS_ZERO the step raises SingularValueError (a singular
+    Jacobian raised numpy's LinAlgError before).  What did not change:
+    the start, each step damped by 0.5, an iterate that reaches the unit
+    sphere clamped back inside it, and the stop at residual 5e-14 or
+    after 100 iterations.
 
     The search does not always converge: it raised ConversionError on
     25 of 2000 random_sp11 draws at max_boost 1.5 and on 644 of 2000 at
@@ -291,15 +293,8 @@ def matrix_to_canonical(A):
         if abs(val) <= _NEWTON_RESIDUAL:
             converged = True
             break
-        c2, c1 = _quotient_terms(sym, num, val)
-        cols = [_matrix_regular_differential(si, c2, pair, ec1)
-                for pair, ec1 in zip(_basis_pairs(q),
-                                     _basis_left_products(c1))]
-        jac = np.array([[c.w for c in cols], [c.x for c in cols],
-                        [c.y for c in cols], [c.z for c in cols]])
-        rhs = -np.array(val.components())
-        step = np.linalg.solve(jac, rhs)
-        q = q + Quaternion(*(float(s) * _NEWTON_DAMPING for s in step))
+        step = _newton_step(q, nv, *_quotient_terms(sym, num, val))
+        q = q + step * _NEWTON_DAMPING
         r = abs(q)
         if r >= 1.0 - 1e-9:
             q = q * ((1.0 - 1e-6) / r)
@@ -308,17 +303,12 @@ def matrix_to_canonical(A):
             "zero search did not converge in %d iterations for --matrix %s"
             % (_NEWTON_CAP, _matrix_json(A)))
 
-    a = q
-    if abs(a) > _DEGENERATE_ZERO:
-        u = a.inv() * (A.d.inv() * A.b)
-    else:
-        # the last iterate is a, so si and val are S(a)^{-1} and rF_A(a);
-        # the direction is e = 1: a + a and 1 c1 = c1
-        c2, c1 = _quotient_terms(sym, num, val)
-        u = -_matrix_regular_differential(si, c2, a + a, c1) \
-            * (1.0 - a.norm_sq())
-    u = u / abs(u)
-    return RegularMobius(a, u)
+    # the last iterate is a, so si and val are S(a)^{-1} and rF_A(a);
+    # u = -(1 - |a|^2) dF_a(1) with dF_a(1) = S(a)^{-1} ((a + a) c2 + c1),
+    # and normalizing drops the positive factor 1 - |a|^2
+    c2, c1 = _quotient_terms(sym, num, val)
+    u = -(si * ((q + q) * c2 + c1))
+    return RegularMobius(q, u / abs(u))
 
 
 def normalize_pair(m1, m2, tol=1e-10):
