@@ -233,16 +233,17 @@ def slice_components(q, zero=EPS_ZERO):
     rule holds per element.
     """
     y = q.im_norm()
-    try:
-        if y <= zero:
+    real = y <= zero
+    if real is not False:
+        if isinstance(real, np.ndarray):
+            # a batch: the same rule per element, dividing no element by zero
+            y = np.where(real, 0.0, y)
+            d = np.where(real, 1.0, y)
+            return (q.w, y, np.where(real, 1.0, q.x / d),
+                    np.where(real, 0.0, q.y / d),
+                    np.where(real, 0.0, q.z / d))
+        if real:
             return q.w, 0.0, 1.0, 0.0, 0.0
-    except ValueError:
-        # a batch: the same rule per element, dividing no element by zero
-        real = y <= zero
-        y = np.where(real, 0.0, y)
-        d = np.where(real, 1.0, y)
-        return (q.w, y, np.where(real, 1.0, q.x / d),
-                np.where(real, 0.0, q.y / d), np.where(real, 0.0, q.z / d))
     return q.w, y, q.x / y, q.y / y, q.z / y
 
 

@@ -9,21 +9,27 @@ judges the worst error / allowed ratio, one block at a time.  Pinned
 tolerances scale linearly with atol / rtol relative to their defaults,
 so tightening either flag makes every check strictly harder.
 
-Most checks draw their inputs a block of at most _BLOCK draws at a
-time, one sampler call with size=n per value of the draw (_draws), and
-evaluate each block as array Quaternions; read in row-major order, a
-block's elements come in draw order, each exactly what evaluating its
-draw with scalar calls would give.  A block of power series is one
-RegularPowerSeries with array coefficients, each draw's series padded
-with zero coefficients to the block's largest order; a block keeps
-each draw's own coefficients only.  hermitian-u-independent compares
-50 units per drawn triple, and a block holds _BLOCK // 10 triples with
-all their units, 5000 elements per array call.  Still drawing one value
-per sampler call are canonical-roundtrip (one Newton search per matrix;
-a matrix's 20 points are then evaluated as one block), and
-segment-length and distance-self, whose draws are fixed in number;
-segment-length measures each of its radii as one array polyline of
-4001 points.  The cost of every check grows at most linearly in
+A row is declared once, by the decorator _row above its measure, and
+CHECKS lists the rows in definition order.  Most rows draw in uniform
+blocks: draw(config, rng, n) returns one block's inputs, one array
+Quaternion (or padded series) of n draws per value of a draw, each from
+one sampler call with size=n, and measure(config, *inputs) returns the
+block's (errors, allowed).  _blocks turns the pair into the row's
+fn(config, rng), the one block loop; it reads the row's count and block
+size from --samples and _BLOCK when the row runs.  Read in row-major
+order, a block's elements come in draw order, each exactly what
+evaluating its draw with scalar calls would give.  A block of power
+series is one RegularPowerSeries with array coefficients, each draw's
+series padded with zero coefficients to the block's largest order; a
+block keeps each draw's own coefficients only.
+
+Four rows register a hand-written fn(config, rng) instead:
+canonical-roundtrip (one scalar Newton search per matrix, after which
+the matrix's 20 points are drawn and evaluated as one block),
+segment-length and distance-self, whose draws are fixed in number
+(segment-length measures each radius as one array polyline of 4001
+points), and origin-noninvariance-witness, whose fixed witness comes
+before its blocks.  The cost of every row grows at most linearly in
 --samples.
 """
 from __future__ import annotations
@@ -37,13 +43,10 @@ import numpy as np
 
 from . import geometry, hardy, mobius
 from .config import DEFAULT_ATOL, DEFAULT_RTOL, RunConfig
-from .quat import (I, J, K, ONE, Quaternion, ZERO, max_component_diff,
-                   project_slice, random_ball_point, random_imaginary_unit,
-                   random_tangent, random_unit_quaternion, slice_decompose,
-                   sqrt)
+from .quat import (ONE, Quaternion, ZERO, max_component_diff, project_slice,
+                   random_ball_point, random_imaginary_unit, random_tangent,
+                   random_unit_quaternion, slice_decompose, sqrt)
 from .series import RegularPowerSeries
-
-_BASIS = (ONE, I, J, K)
 
 # draws evaluated per array call; keeps memory flat in --samples
 _BLOCK = 1000
@@ -59,6 +62,51 @@ class CheckResult:
     tolerance: float
     passed: bool
     details: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class CheckDef:
+    suite: str
+    name: str
+    claim: str
+    fn: callable
+
+
+# every row, in the order of its definition below
+CHECKS = []
+
+
+def _count(config, count=1, per=1, floor=1):
+    """The number of draws of a row: --samples times count, divided by
+    per and rounded down, and at least floor."""
+    return max(floor, config.samples * count // per)
+
+
+def _blocks(draw, measure, count=1, per=1, floor=1, block_per=1):
+    """The fn(config, rng) of a row that draws in uniform blocks.
+
+    It draws _count(config, count, per, floor) draws in consecutive
+    blocks of n <= max(1, _BLOCK // block_per) draws, and yields
+    measure(config, *draw(config, rng, n)) for each block.
+    """
+    def fn(config, rng):
+        total = _count(config, count, per, floor)
+        size = max(1, _BLOCK // block_per)
+        for start in range(0, total, size):
+            yield measure(config, *draw(config, rng,
+                                        min(size, total - start)))
+    return fn
+
+
+def _row(suite, name, claim, draw=None, **sizes):
+    """Register the decorated function as the row suite/name, and return
+    it unchanged.  With a draw it is the row's measure, and sizes go to
+    _blocks; without one it is the row's fn(config, rng) itself."""
+    def register(measure):
+        fn = measure if draw is None else _blocks(draw, measure, **sizes)
+        CHECKS.append(CheckDef(suite, name, claim, fn))
+        return measure
+    return register
 
 
 def _atol_scale(config):
@@ -90,15 +138,6 @@ def _cauchy_schwarz(metric, q, a, b):
     for G it equals |H_q(a, b)|.
     """
     return sqrt(metric(q, a, a) * metric(q, b, b))
-
-
-def _draws(count, draw, block=None):
-    """draw(n) for consecutive blocks of n <= block (default _BLOCK)
-    draws, count draws in all; draw(n) returns one array Quaternion of
-    n elements per value of a draw."""
-    block = block or _BLOCK
-    for start in range(0, count, block):
-        yield draw(min(block, count - start))
 
 
 def _columns(*values):
@@ -148,9 +187,30 @@ def _slice_tangents(rng, unit):
     return Quaternion(g[0], g[1] * unit.x, g[1] * unit.y, g[1] * unit.z)
 
 
-def _on_slice(rng, n):
-    """n draws of a unit, a point of its half disk of radius 0.9 and two
-    tangents along its slice."""
+# ---------------------------------------------------------- shared draws
+
+def _ball_points(k):
+    """The draw of k points uniform in the ball |q| <= 1 -
+    boundary_margin."""
+    def draw(config, rng, n):
+        return tuple(random_ball_point(rng, config.boundary_margin, size=n)
+                     for _ in range(k))
+    return draw
+
+
+def _tangent_triple(config, rng, n):
+    return (random_ball_point(rng, config.boundary_margin, size=n),
+            random_tangent(rng, size=n), random_tangent(rng, size=n))
+
+
+def _triple_and_unit(config, rng, n):
+    return _tangent_triple(config, rng, n) \
+        + (random_unit_quaternion(rng, size=n),)
+
+
+def _on_slice(config, rng, n):
+    """A unit, a point of its half disk of radius 0.9 and two tangents
+    along its slice."""
     unit = random_imaginary_unit(rng, size=n)
     return (unit, _slice_points(rng, unit, 0.9),
             _slice_tangents(rng, unit), _slice_tangents(rng, unit))
@@ -158,44 +218,47 @@ def _on_slice(rng, n):
 
 # ----------------------------------------------------------------- quat
 
-def _unit_and_tangent(rng, n):
+def _unit_and_tangent(config, rng, n):
     return random_imaginary_unit(rng, size=n), random_tangent(rng, size=n)
 
 
-def check_norm_multiplicative(config, rng):
-    for p, q in _draws(config.samples, lambda n: (
-            random_tangent(rng, size=n), random_tangent(rng, size=n))):
-        scale = abs(p) * abs(q)
-        yield (abs(abs(p * q) - scale),
-               1e-12 * _larger(1.0, scale) * _atol_scale(config))
+@_row("quat", "norm-multiplicative", "abs(p q) equals abs(p) abs(q)",
+      lambda config, rng, n: (random_tangent(rng, size=n),
+                              random_tangent(rng, size=n)))
+def check_norm_multiplicative(config, p, q):
+    scale = abs(p) * abs(q)
+    return (abs(abs(p * q) - scale),
+            1e-12 * _larger(1.0, scale) * _atol_scale(config))
 
 
-def check_projection_resolution(config, rng):
-    for unit, a in _draws(config.samples,
-                          lambda n: _unit_and_tangent(rng, n)):
-        par, perp = project_slice(unit, a)
-        allowed = config.atol + config.rtol * _larger(1.0, abs(a))
-        yield (
-            _columns(max_component_diff(par + perp, a),
-                     max_component_diff(project_slice(unit, par)[0], par),
-                     abs((par * perp.conj()).w)),
-            _columns(allowed, allowed,
-                     config.atol + config.rtol * _larger(1.0, a.norm_sq())))
+@_row("quat", "projection-resolution",
+      "slice projections resolve the identity, are idempotent and "
+      "mutually orthogonal", _unit_and_tangent)
+def check_projection_resolution(config, unit, a):
+    par, perp = project_slice(unit, a)
+    allowed = config.atol + config.rtol * _larger(1.0, abs(a))
+    return (
+        _columns(max_component_diff(par + perp, a),
+                 max_component_diff(project_slice(unit, par)[0], par),
+                 abs((par * perp.conj()).w)),
+        _columns(allowed, allowed,
+                 config.atol + config.rtol * _larger(1.0, a.norm_sq())))
 
 
-def check_projection_anticommute(config, rng):
-    for unit, a in _draws(config.samples,
-                          lambda n: _unit_and_tangent(rng, n)):
-        perp = project_slice(unit, a)[1]
-        yield (max_component_diff(unit * perp, -(perp * unit)),
-               config.atol + config.rtol * _larger(1.0, abs(a)))
+@_row("quat", "projection-anticommute",
+      "I anticommutes with the orthogonal projection of any tangent",
+      _unit_and_tangent)
+def check_projection_anticommute(config, unit, a):
+    perp = project_slice(unit, a)[1]
+    return (max_component_diff(unit * perp, -(perp * unit)),
+            config.atol + config.rtol * _larger(1.0, abs(a)))
 
 
-def check_slice_roundtrip(config, rng):
-    for q in _draws(config.samples, lambda n: random_ball_point(
-            rng, config.boundary_margin, size=n)):
-        yield (max_component_diff(slice_decompose(q).point(), q),
-               1e-14 * _atol_scale(config))
+@_row("quat", "slice-roundtrip",
+      "x + y I rebuilds q from its slice coordinates", _ball_points(1))
+def check_slice_roundtrip(config, q):
+    return (max_component_diff(slice_decompose(q).point(), q),
+            1e-14 * _atol_scale(config))
 
 
 # --------------------------------------------------------------- series
@@ -235,35 +298,43 @@ def _coeff_scale(*fs):
     return _larger(1.0, *(abs(c) for f in fs for c in f.coeffs))
 
 
-def check_star_associative(config, rng):
-    for (f, of), (g, og), (h, oh) in _draws(
-            max(10, config.samples // 5),
-            lambda n: tuple(_random_series(rng, n, 8) for _ in range(3))):
-        lhs = f.star(g).star(h)
-        rhs = f.star(g.star(h))
-        scale = _coeff_scale(lhs, rhs)
-        yield _coefficient_pairs(
-            [max_component_diff(a, b) for a, b in zip(lhs.coeffs, rhs.coeffs)],
-            1e-12 * scale * _atol_scale(config), of + og + oh)
+def _series(config, rng, n):
+    return _random_series(rng, n, 8)
 
 
-def check_symmetrization_commutes(config, rng):
-    for f, order in _draws(max(10, config.samples // 5),
-                           lambda n: _random_series(rng, n, 8)):
-        lhs = f.star(f.conjugate())
-        rhs = f.conjugate().star(f)
-        scale = _coeff_scale(lhs, rhs)
-        yield _coefficient_pairs(
-            [max_component_diff(a, b) for a, b in zip(lhs.coeffs, rhs.coeffs)],
-            1e-12 * scale * _atol_scale(config), 2 * order)
+def _three_series(config, rng, n):
+    return _series(config, rng, n) + _series(config, rng, n) \
+        + _series(config, rng, n)
 
 
-def check_symmetrization_real(config, rng):
-    allowed = 1e-13 * _atol_scale(config)
-    for f, order in _draws(max(10, config.samples // 5),
-                           lambda n: _random_series(rng, n, 8)):
-        yield _coefficient_pairs(
-            [c.im_norm() for c in f.symmetrize().coeffs], allowed, 2 * order)
+@_row("series", "star-associative", "the *-product is associative",
+      _three_series, per=5, floor=10)
+def check_star_associative(config, f, of, g, og, h, oh):
+    lhs = f.star(g).star(h)
+    rhs = f.star(g.star(h))
+    scale = _coeff_scale(lhs, rhs)
+    return _coefficient_pairs(
+        [max_component_diff(a, b) for a, b in zip(lhs.coeffs, rhs.coeffs)],
+        1e-12 * scale * _atol_scale(config), of + og + oh)
+
+
+@_row("series", "symmetrization-commutes",
+      "f * f^c equals f^c * f coefficientwise", _series,
+      per=5, floor=10)
+def check_symmetrization_commutes(config, f, order):
+    lhs = f.star(f.conjugate())
+    rhs = f.conjugate().star(f)
+    scale = _coeff_scale(lhs, rhs)
+    return _coefficient_pairs(
+        [max_component_diff(a, b) for a, b in zip(lhs.coeffs, rhs.coeffs)],
+        1e-12 * scale * _atol_scale(config), 2 * order)
+
+
+@_row("series", "symmetrization-real", "every coefficient of f^s is real",
+      _series, per=5, floor=10)
+def check_symmetrization_real(config, f, order):
+    return _coefficient_pairs([c.im_norm() for c in f.symmetrize().coeffs],
+                              1e-13 * _atol_scale(config), 2 * order)
 
 
 def _slice_series(rng, unit):
@@ -275,44 +346,49 @@ def _slice_series(rng, unit):
     return _padded_series(_slice_tangents(rng, per_coeff), orders)
 
 
-def check_slice_evaluation_homomorphism(config, rng):
-    def draw(n):
-        unit = random_imaginary_unit(rng, size=n)
-        f = _slice_series(rng, unit)
-        g = _slice_series(rng, unit)
-        return f, g, _slice_points(rng, unit, 0.9)
-    for f, g, q in _draws(config.samples, draw):
-        lhs = f.star(g).eval(q)
-        rhs = f.eval(q) * g.eval(q)
-        yield (max_component_diff(lhs, rhs),
-               config.atol + config.rtol * 10.0
-               * _larger(1.0, abs(lhs), abs(rhs)))
+def _series_on_slice(config, rng, n):
+    unit = random_imaginary_unit(rng, size=n)
+    f = _slice_series(rng, unit)
+    g = _slice_series(rng, unit)
+    return f, g, _slice_points(rng, unit, 0.9)
 
 
-def check_star_evaluation(config, rng):
+@_row("series", "slice-evaluation-homomorphism",
+      "on a common slice, evaluation turns * into the pointwise product",
+      _series_on_slice)
+def check_slice_evaluation_homomorphism(config, f, g, q):
+    lhs = f.star(g).eval(q)
+    rhs = f.eval(q) * g.eval(q)
+    return (max_component_diff(lhs, rhs),
+            config.atol + config.rtol * 10.0
+            * _larger(1.0, abs(lhs), abs(rhs)))
+
+
+@_row("series", "star-evaluation",
+      "(f * g)(q) equals f(q) g(f(q)^{-1} q f(q)) where f(q) is not 0",
+      lambda config, rng, n: (_series(config, rng, n)[0],
+                              _series(config, rng, n)[0], _ball(rng, 0.9, n)))
+def check_star_evaluation(config, f, g, q):
     # off the slices the opposite product breaks this identity by O(1);
     # the bound is eps times (sum_k |a_k|) (sum_l |b_l|), about 100 times
     # the worst over seeds 1-100
-    for (f, _), (g, _), q in _draws(config.samples, lambda n: (
-            _random_series(rng, n, 8), _random_series(rng, n, 8),
-            _ball(rng, 0.9, n))):
-        fq = f.eval(q)
-        own = abs(fq) > 1e-6
-        # inv raises on a batch with any small element
-        safe = _where(own, fq, ONE)
-        rhs = fq * g.eval(safe.inv() * q * safe)
-        scale = (sum(abs(c) for c in f.coeffs)
-                 * sum(abs(c) for c in g.coeffs))
-        yield _masked(max_component_diff(f.star(g).eval(q), rhs),
-                      4e-14 * scale * _atol_scale(config), own)
+    fq = f.eval(q)
+    own = abs(fq) > 1e-6
+    # inv raises on a batch with any small element
+    safe = _where(own, fq, ONE)
+    rhs = fq * g.eval(safe.inv() * q * safe)
+    scale = sum(abs(c) for c in f.coeffs) * sum(abs(c) for c in g.coeffs)
+    return _masked(max_component_diff(f.star(g).eval(q), rhs),
+                   4e-14 * scale * _atol_scale(config), own)
 
 
-def _reciprocal_friendly(rng, n):
+def _reciprocal_friendly(config, rng, n):
     # spectrum kept away from the ball so the reciprocal series converges
     # fast on |q| <= 0.5: each draw is either a Moebius linear factor
     # q conj(a) - 1 or a perturbation of a unit constant with
-    # geometrically decaying coefficients, of order 1 to 5; a block draws
-    # the values of both kinds for every draw and keeps one
+    # geometrically decaying coefficients, of order 1 to 5, and a point
+    # of |q| <= 0.5; a block draws the values of both kinds for every
+    # draw and keeps one
     linear = rng.random(n) < 0.5
     a = _ball(rng, 0.9, n).conj()
     orders = np.where(linear, 1, rng.integers(1, 6, size=n))
@@ -321,16 +397,17 @@ def _reciprocal_friendly(rng, n):
         tail = _where(k <= orders,
                       random_tangent(rng, size=n) * (0.5 * 0.25 ** k), ZERO)
         coeffs.append(_where(linear, a if k == 1 else ZERO, tail))
-    return RegularPowerSeries(coeffs)
+    return RegularPowerSeries(coeffs), _ball(rng, 0.5, n)
 
 
-def check_reciprocal_residual(config, rng):
-    allowed = 1e-9 * _rtol_scale(config)
-    for f, q in _draws(max(10, config.samples // 5), lambda n: (
-            _reciprocal_friendly(rng, n), _ball(rng, 0.5, n))):
-        recip = f.reciprocal_series()
-        yield (_columns(abs(recip.star(f).eval(q) - 1),
-                        abs(f.star(recip).eval(q) - 1)), allowed)
+@_row("series", "reciprocal-residual",
+      "f * f^{-*} evaluates to 1 on |q| <= 1/2", _reciprocal_friendly,
+      per=5, floor=10)
+def check_reciprocal_residual(config, f, q):
+    recip = f.reciprocal_series()
+    return (_columns(abs(recip.star(f).eval(q) - 1),
+                     abs(f.star(recip).eval(q) - 1)),
+            1e-9 * _rtol_scale(config))
 
 
 # --------------------------------------------------------------- mobius
@@ -340,71 +417,81 @@ def _random_canonical(rng, radius=0.9, size=None):
                                 random_unit_quaternion(rng, size))
 
 
-def check_generator_valid(config, rng):
-    for A in _draws(config.samples,
-                    lambda n: mobius.random_sp11(rng, size=n)):
-        yield A.residual(), 1e-12 * _atol_scale(config)
+@_row("mobius", "generator-valid",
+      "sampled matrices satisfy the defining relations of the ball "
+      "symmetry group", lambda config, rng, n: (
+          mobius.random_sp11(rng, size=n),))
+def check_generator_valid(config, A):
+    return A.residual(), 1e-12 * _atol_scale(config)
 
 
-def check_ball_preserved(config, rng):
+@_row("mobius", "ball-preserved",
+      "classical and regular transformations map the ball into itself",
+      lambda config, rng, n: (
+          mobius.random_sp11(rng, size=n), _random_canonical(rng, size=n),
+          random_ball_point(rng, config.boundary_margin, size=n)))
+def check_ball_preserved(config, A, m, q):
     # allowed is the largest float below 1, so |image| < 1 passes
-    below_one = math.nextafter(1.0, 0.0)
-    for A, m, q in _draws(config.samples, lambda n: (
-            mobius.random_sp11(rng, size=n), _random_canonical(rng, size=n),
-            random_ball_point(rng, config.boundary_margin, size=n))):
-        yield (_columns(abs(mobius.classical_apply(A, q)),
-                        abs(mobius.regular_apply(m, q))), below_one)
+    return (_columns(abs(mobius.classical_apply(A, q)),
+                     abs(mobius.regular_apply(m, q))),
+            math.nextafter(1.0, 0.0))
 
 
-def check_fixed_points(config, rng):
-    allowed = config.atol + config.rtol
-    for m, q in _draws(config.samples, lambda n: (
-            _random_canonical(rng, size=n), _ball(rng, 0.9, n))):
-        minus_q = mobius.regular_apply(mobius.RegularMobius(ZERO, ONE), q)
-        yield (
-            _columns(abs(mobius.regular_apply(m, m.a)),
-                     max_component_diff(mobius.regular_apply(m, ZERO),
-                                        m.a * m.u),
-                     max_component_diff(minus_q, -q)),
-            allowed)
+@_row("mobius", "fixed-points",
+      "the canonical map sends a to 0 and 0 to a u; a = 0 gives minus the "
+      "identity", lambda config, rng, n: (
+          _random_canonical(rng, size=n), _ball(rng, 0.9, n)))
+def check_fixed_points(config, m, q):
+    minus_q = mobius.regular_apply(mobius.RegularMobius(ZERO, ONE), q)
+    return (
+        _columns(abs(mobius.regular_apply(m, m.a)),
+                 max_component_diff(mobius.regular_apply(m, ZERO), m.a * m.u),
+                 max_component_diff(minus_q, -q)),
+        config.atol + config.rtol)
 
 
-def check_closed_vs_series(config, rng):
-    for m, q in _draws(config.samples, lambda n: (
-            _random_canonical(rng, size=n), _ball(rng, 0.7, n))):
-        yield (max_component_diff(mobius.regular_apply(m, q),
-                                  mobius.regular_apply_via_series(m, q)),
-               1e-10 * _rtol_scale(config))
+@_row("mobius", "closed-vs-series",
+      "closed-form and series evaluations of the regular map agree",
+      lambda config, rng, n: (_random_canonical(rng, size=n),
+                              _ball(rng, 0.7, n)))
+def check_closed_vs_series(config, m, q):
+    return (max_component_diff(mobius.regular_apply(m, q),
+                               mobius.regular_apply_via_series(m, q)),
+            1e-10 * _rtol_scale(config))
 
 
-def check_differential_fd(config, rng, h=1e-5):
-    allowed = 1e-6 * _rtol_scale(config)
-    for q, alpha, m, A in _draws(config.samples, lambda n: (
-            _ball(rng, 0.9, n), random_tangent(rng, size=n),
-            _random_canonical(rng, size=n), mobius.random_sp11(rng, size=n))):
-        ana = mobius.regular_differential(m, q, alpha)
-        fd = (mobius.regular_apply(m, q + alpha * h)
-              - mobius.regular_apply(m, q - alpha * h)) / (2.0 * h)
-        ana_c = mobius.classical_differential(A, q, alpha)
-        fd_c = (mobius.classical_apply(A, q + alpha * h)
-                - mobius.classical_apply(A, q - alpha * h)) / (2.0 * h)
-        yield _columns(_rel_q(ana, fd), _rel_q(ana_c, fd_c)), allowed
+@_row("mobius", "differential-fd",
+      "analytic differentials match central finite differences",
+      lambda config, rng, n: (
+          _ball(rng, 0.9, n), random_tangent(rng, size=n),
+          _random_canonical(rng, size=n), mobius.random_sp11(rng, size=n)))
+def check_differential_fd(config, q, alpha, m, A, h=1e-5):
+    ana = mobius.regular_differential(m, q, alpha)
+    fd = (mobius.regular_apply(m, q + alpha * h)
+          - mobius.regular_apply(m, q - alpha * h)) / (2.0 * h)
+    ana_c = mobius.classical_differential(A, q, alpha)
+    fd_c = (mobius.classical_apply(A, q + alpha * h)
+            - mobius.classical_apply(A, q - alpha * h)) / (2.0 * h)
+    return (_columns(_rel_q(ana, fd), _rel_q(ana_c, fd_c)),
+            1e-6 * _rtol_scale(config))
 
 
-def check_origin_isotropy(config, rng):
-    for u, q, a in _draws(config.samples, lambda n: (
-            random_unit_quaternion(rng, size=n),
-            random_ball_point(rng, config.boundary_margin, size=n),
-            _ball(rng, 0.9, n))):
-        rot = mobius.RegularMobius(ZERO, u)
-        # a map whose zero a is away from 0 must move 0; where it does
-        # not, an infinite error follows the draw's value
-        moved = abs(mobius.regular_apply(mobius.RegularMobius(a, u), ZERO))
-        yield _masked(
-            _columns(max_component_diff(mobius.regular_apply(rot, q),
-                                        q * (-u)), math.inf),
-            _columns(config.atol + config.rtol, 1.0),
-            _columns(True, (abs(a) > 1e-6) & (moved <= 1e-6)))
+@_row("mobius", "origin-isotropy",
+      "canonical maps fixing 0 are exactly the right rotations",
+      lambda config, rng, n: (
+          random_unit_quaternion(rng, size=n),
+          random_ball_point(rng, config.boundary_margin, size=n),
+          _ball(rng, 0.9, n)))
+def check_origin_isotropy(config, u, q, a):
+    rot = mobius.RegularMobius(ZERO, u)
+    # a map whose zero a is away from 0 must move 0; where it does not,
+    # an infinite error follows the draw's value
+    moved = abs(mobius.regular_apply(mobius.RegularMobius(a, u), ZERO))
+    return _masked(
+        _columns(max_component_diff(mobius.regular_apply(rot, q), q * (-u)),
+                 math.inf),
+        _columns(config.atol + config.rtol, 1.0),
+        _columns(True, (abs(a) > 1e-6) & (moved <= 1e-6)))
 
 
 def _redraw_close(rng, q1, q2):
@@ -419,23 +506,27 @@ def _redraw_close(rng, q1, q2):
     return q2
 
 
-def check_injectivity(config, rng):
+def _separated_pair(config, rng, n):
+    m, q1 = _random_canonical(rng, size=n), _ball(rng, 0.9, n)
+    return m, q1, _redraw_close(rng, q1, _ball(rng, 0.9, n))
+
+
+@_row("mobius", "injectivity",
+      "separated inputs stay separated under the regular map",
+      _separated_pair)
+def check_injectivity(config, m, q1, q2):
     # error is the float just above 1e-9 and allowed the separation of
     # the images, so a separation greater than 1e-9 passes
-    threshold = math.nextafter(1e-9, math.inf)
-
-    def draw(n):
-        m, q1 = _random_canonical(rng, size=n), _ball(rng, 0.9, n)
-        return m, q1, _redraw_close(rng, q1, _ball(rng, 0.9, n))
-    for m, q1, q2 in _draws(config.samples, draw):
-        yield (threshold, abs(mobius.regular_apply(m, q1)
-                              - mobius.regular_apply(m, q2)))
+    return (math.nextafter(1e-9, math.inf),
+            abs(mobius.regular_apply(m, q1) - mobius.regular_apply(m, q2)))
 
 
+@_row("mobius", "canonical-roundtrip",
+      "matrix_to_canonical reproduces the matrix map on samples")
 def check_canonical_roundtrip(config, rng):
-    n_mat = max(5, config.samples // 10)
+    # a matrix's points are drawn only once its Newton search succeeded
     allowed = 1e-8 * _rtol_scale(config)
-    for _ in range(n_mat):
+    for _ in range(_count(config, per=10, floor=5)):
         A = mobius.random_sp11(rng)
         m = mobius.matrix_to_canonical(A)
         if abs(m.a) >= 1.0 or abs(abs(m.u) - 1.0) > 1e-12:
@@ -448,223 +539,233 @@ def check_canonical_roundtrip(config, rng):
                                   mobius.matrix_regular_apply(A, q)), allowed)
 
 
-def check_normalize_pair(config, rng):
+def _maps_sharing_a_zero(config, rng, n):
     # five points per pair of maps: a row of the block per pair
-    def draw(n):
-        a, u1, u2 = (_reshape(v, (n, 1)) for v in (
-            _ball(rng, 0.9, n), random_unit_quaternion(rng, size=n),
-            random_unit_quaternion(rng, size=n)))
-        return a, u1, u2, _reshape(_ball(rng, 0.9, 5 * n), (n, 5))
-    for a, u1, u2, q in _draws(max(10, config.samples // 5), draw,
-                               max(1, _BLOCK // 5)):
-        m1 = mobius.RegularMobius(a, u1)
-        m2 = mobius.RegularMobius(a, u2)
-        u = mobius.normalize_pair(m1, m2)
-        yield (max_component_diff(mobius.regular_apply(m1, q),
-                                  mobius.regular_apply(m2, q) * u),
-               1e-12 * _rtol_scale(config))
+    a, u1, u2 = (_reshape(v, (n, 1)) for v in (
+        _ball(rng, 0.9, n), random_unit_quaternion(rng, size=n),
+        random_unit_quaternion(rng, size=n)))
+    return a, u1, u2, _reshape(_ball(rng, 0.9, 5 * n), (n, 5))
+
+
+@_row("mobius", "normalize-pair",
+      "canonical maps sharing a zero differ by a right rotation",
+      _maps_sharing_a_zero, per=5, floor=10, block_per=5)
+def check_normalize_pair(config, a, u1, u2, q):
+    m1 = mobius.RegularMobius(a, u1)
+    m2 = mobius.RegularMobius(a, u2)
+    u = mobius.normalize_pair(m1, m2)
+    return (max_component_diff(mobius.regular_apply(m1, q),
+                               mobius.regular_apply(m2, q) * u),
+            1e-12 * _rtol_scale(config))
 
 
 # ------------------------------------------------------------- geometry
 
-def _tangent_triple(config, rng, n):
-    return (random_ball_point(rng, config.boundary_margin, size=n),
+def _triple_and_units(config, rng, n):
+    # a row of the block per triple, holding 50 units: a constant, so the
+    # cost grows linearly in samples; a block of _BLOCK // 10 triples is
+    # 5000 elements per array call, few enough that its temporaries stay
+    # well under a MiB
+    triple = tuple(_reshape(v, (n, 1))
+                   for v in _tangent_triple(config, rng, n))
+    return triple + (_reshape(random_unit_quaternion(rng, size=n * 50),
+                              (n, 50)),)
+
+
+@_row("geometry", "hermitian-u-independent",
+      "the Hermitian tensor does not depend on the unit chosen in its "
+      "definition", _triple_and_units, block_per=10)
+def check_hermitian_u_independent(config, q, a, b, u):
+    ref = geometry.slice_hermitian_via_definition(q, a, b, ONE)
+    val = geometry.slice_hermitian_via_definition(q, a, b, u)
+    return (max_component_diff(val, ref) / _larger(abs(ref), 1e-12),
+            1e-11 * _rtol_scale(config))
+
+
+@_row("geometry", "hermitian-closed-form",
+      "the definition of H matches its closed form", _triple_and_unit)
+def check_hermitian_closed_form(config, q, a, b, u):
+    return (_rel_q(geometry.slice_hermitian_via_definition(q, a, b, u),
+                   geometry.slice_hermitian(q, a, b)),
+            1e-11 * _rtol_scale(config))
+
+
+@_row("geometry", "riemannian-triple-agreement",
+      "closed, corrected and via-H routes to G agree", _tangent_triple,
+      count=10)
+def check_riemannian_triple(config, q, a, b):
+    closed = geometry.slice_riemannian(q, a, b, "closed")
+    corrected = geometry.slice_riemannian(q, a, b, "corrected")
+    via_h = geometry.slice_hermitian(q, a, b).w
+    scale = _cauchy_schwarz(geometry.slice_riemannian, q, a, b)
+    # two values per draw: closed vs corrected, then closed vs via-h
+    return (_columns(abs(closed - corrected) / scale,
+                     abs(closed - via_h) / scale),
+            1e-13 * _rtol_scale(config))
+
+
+@_row("geometry", "riemannian-vs-split-norm",
+      "G equals the split tangent norm along the slice of q",
+      lambda config, rng, n: (_ball(rng, 0.9, n),
+                              random_tangent(rng, size=n)), count=10)
+def check_riemannian_vs_split_norm(config, q, a):
+    return (_rel_s(geometry.slice_riemannian(q, a, a),
+                   geometry.arcozzi_sarfatti_norm(q, a)),
+            1e-11 * _rtol_scale(config))
+
+
+@_row("geometry", "split-scalar-identity",
+      "|1 - q^2|^2 - 4 |Im q|^2 equals (1 - |q|^2)^2", _ball_points(1),
+      count=10)
+def check_split_scalar_identity(config, q):
+    lhs = (1 - q * q).norm_sq() - 4.0 * q.im.norm_sq()
+    # float_power squares with the C library's pow, as float ** 2 does;
+    # ndarray ** 2 multiplies, which differs from it in the last bit for
+    # about 0.07% of values
+    rhs = np.float_power(1.0 - q.norm_sq(), 2)
+    return abs(lhs - rhs), 1e-13 * _atol_scale(config)
+
+
+@_row("geometry", "hermitian-symmetric", "H(a, b) equals conj(H(b, a))",
+      _tangent_triple)
+def check_hermitian_symmetric(config, q, a, b):
+    hab = geometry.slice_hermitian(q, a, b)
+    hba = geometry.slice_hermitian(q, b, a)
+    return (max_component_diff(hab, hba.conj()),
+            config.atol + config.rtol * _larger(1.0, abs(hab)))
+
+
+@_row("geometry", "hermitian-positive",
+      "H(a, a) is real and positive down to tiny tangents", _tangent_triple)
+def check_hermitian_positive(config, q, a, _):
+    # error im_norm, or infinite where the real part is not positive
+    errors, allowed = [], []
+    for v in (a, a * 1e-8):
+        h = geometry.slice_hermitian(q, v, v)
+        errors.append(np.where(h.w > 0.0, h.im_norm(), math.inf))
+        allowed.append(config.atol + config.rtol * _larger(1.0, abs(h)))
+    return _columns(*errors), _columns(*allowed)
+
+
+@_row("geometry", "decomposition-h-g-omega", "H decomposes as G + Omega",
+      _tangent_triple)
+def check_decomposition(config, q, a, b):
+    tv = geometry.tensor_value(q, a, b)
+    g_closed = geometry.slice_riemannian(q, a, b, "closed")
+    recon = Quaternion(g_closed, 0, 0, 0) + tv.omega
+    return (max_component_diff(tv.h, recon),
+            config.atol + config.rtol * _larger(1.0, abs(tv.h)))
+
+
+@_row("geometry", "kahler-antisymmetric", "Omega(a, b) equals -Omega(b, a)",
+      _tangent_triple)
+def check_kahler_antisymmetric(config, q, a, b):
+    oab = geometry.slice_kahler(q, a, b)
+    oba = geometry.slice_kahler(q, b, a)
+    return (max_component_diff(oab, -oba),
+            config.atol + config.rtol * _larger(1.0, abs(oab)))
+
+
+@_row("geometry", "kahler-rank",
+      "Omega has full rank 4 against the standard basis",
+      lambda config, rng, n: (_ball(rng, 0.9, n),), per=10, floor=5)
+def check_kahler_rank(config, q):
+    # error is the rank deficit, so only full rank passes
+    return 4.0 - geometry.kahler_rank(q), 0.5
+
+
+@_row("geometry", "hyperbolic-invariance",
+      "the hyperbolic metric is invariant under classical pushforward",
+      lambda config, rng, n: ((mobius.random_sp11(rng, size=n),)
+                              + _tangent_triple(config, rng, n)),
+      per=5, floor=5)
+def check_hyperbolic_invariance(config, A, q, a, b):
+    image = mobius.classical_apply(A, q)
+    da = mobius.classical_differential(A, q, a)
+    db = mobius.classical_differential(A, q, b)
+    ghat = geometry.hyperbolic_metric(q, a, b)
+    return (abs(geometry.hyperbolic_metric(image, da, db) - ghat)
+            / _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b),
+            1e-11 * _rtol_scale(config))
+
+
+def _diagonal_symmetry(config, rng, n):
+    return (random_unit_quaternion(rng, size=n),
+            random_unit_quaternion(rng, size=n),
             random_tangent(rng, size=n), random_tangent(rng, size=n))
 
 
-def _triple_and_unit(config, rng, n):
-    return _tangent_triple(config, rng, n) \
-        + (random_unit_quaternion(rng, size=n),)
+def _g0_invariance(config, d, a, al, be):
+    ta, tb = d.inv() * al * a, d.inv() * be * a
+    scale = _larger(1.0, abs(al) * abs(be))
+    return (abs((ta * tb.conj()).w - (al * be.conj()).w) / scale,
+            1e-12 * _atol_scale(config))
 
 
-def check_hermitian_u_independent(config, rng):
-    # units per triple: a constant, so the cost grows linearly in samples
-    inner = 50
-    allowed = 1e-11 * _rtol_scale(config)
-
-    # a row of the block per triple, holding its inner units; a block of
-    # _BLOCK // 10 triples is 5000 elements per array call, few enough
-    # that its temporaries stay well under a MiB
-    def draw(n):
-        triple = tuple(_reshape(v, (n, 1))
-                       for v in _tangent_triple(config, rng, n))
-        return triple + (_reshape(random_unit_quaternion(rng, size=n * inner),
-                                  (n, inner)),)
-    for q, a, b, u in _draws(config.samples, draw, max(1, _BLOCK // 10)):
-        ref = geometry.slice_hermitian_via_definition(q, a, b, ONE)
-        scale = _larger(abs(ref), 1e-12)
-        val = geometry.slice_hermitian_via_definition(q, a, b, u)
-        yield max_component_diff(val, ref) / scale, allowed
-
-
-def check_hermitian_closed_form(config, rng):
-    allowed = 1e-11 * _rtol_scale(config)
-    for q, a, b, u in _draws(config.samples,
-                             lambda n: _triple_and_unit(config, rng, n)):
-        yield (_rel_q(geometry.slice_hermitian_via_definition(q, a, b, u),
-                      geometry.slice_hermitian(q, a, b)), allowed)
-
-
-def check_riemannian_triple(config, rng):
-    allowed = 1e-13 * _rtol_scale(config)
-    for q, a, b in _draws(config.samples * 10,
-                          lambda n: _tangent_triple(config, rng, n)):
-        closed = geometry.slice_riemannian(q, a, b, "closed")
-        corrected = geometry.slice_riemannian(q, a, b, "corrected")
-        via_h = geometry.slice_hermitian(q, a, b).w
-        scale = _cauchy_schwarz(geometry.slice_riemannian, q, a, b)
-        # two values per draw: closed vs corrected, then closed vs via-h
-        yield (_columns(abs(closed - corrected) / scale,
-                        abs(closed - via_h) / scale), allowed)
-
-
-def check_riemannian_vs_split_norm(config, rng):
-    allowed = 1e-11 * _rtol_scale(config)
-    for q, a in _draws(config.samples * 10, lambda n: (
-            _ball(rng, 0.9, n), random_tangent(rng, size=n))):
-        yield (_rel_s(geometry.slice_riemannian(q, a, a),
-                      geometry.arcozzi_sarfatti_norm(q, a)), allowed)
-
-
-def check_split_scalar_identity(config, rng):
-    for q in _draws(config.samples * 10, lambda n: random_ball_point(
-            rng, config.boundary_margin, size=n)):
-        lhs = (1 - q * q).norm_sq() - 4.0 * q.im.norm_sq()
-        # float_power squares with the C library's pow, as float ** 2
-        # does; ndarray ** 2 multiplies, which differs from it in the
-        # last bit for about 0.07% of values
-        rhs = np.float_power(1.0 - q.norm_sq(), 2)
-        yield abs(lhs - rhs), 1e-13 * _atol_scale(config)
-
-
-def check_hermitian_symmetric(config, rng):
-    for q, a, b in _draws(config.samples,
-                          lambda n: _tangent_triple(config, rng, n)):
-        hab = geometry.slice_hermitian(q, a, b)
-        hba = geometry.slice_hermitian(q, b, a)
-        yield (max_component_diff(hab, hba.conj()),
-               config.atol + config.rtol * _larger(1.0, abs(hab)))
-
-
-def check_hermitian_positive(config, rng):
-    # error im_norm, or infinite where the real part is not positive
-    for q, a, _ in _draws(config.samples,
-                          lambda n: _tangent_triple(config, rng, n)):
-        errors, allowed = [], []
-        for v in (a, a * 1e-8):
-            h = geometry.slice_hermitian(q, v, v)
-            errors.append(np.where(h.w > 0.0, h.im_norm(), math.inf))
-            allowed.append(config.atol + config.rtol * _larger(1.0, abs(h)))
-        yield _columns(*errors), _columns(*allowed)
-
-
-def check_decomposition(config, rng):
-    for q, a, b in _draws(config.samples,
-                          lambda n: _tangent_triple(config, rng, n)):
-        tv = geometry.tensor_value(q, a, b)
-        g_closed = geometry.slice_riemannian(q, a, b, "closed")
-        recon = Quaternion(g_closed, 0, 0, 0) + tv.omega
-        yield (max_component_diff(tv.h, recon),
-               config.atol + config.rtol * _larger(1.0, abs(tv.h)))
-
-
-def check_kahler_antisymmetric(config, rng):
-    for q, a, b in _draws(config.samples,
-                          lambda n: _tangent_triple(config, rng, n)):
-        oab = geometry.slice_kahler(q, a, b)
-        oba = geometry.slice_kahler(q, b, a)
-        yield (max_component_diff(oab, -oba),
-               config.atol + config.rtol * _larger(1.0, abs(oab)))
-
-
-def check_kahler_rank(config, rng):
-    # error is the rank deficit, so only full rank passes
-    for q in _draws(max(5, config.samples // 10),
-                    lambda n: _ball(rng, 0.9, n)):
-        yield 4.0 - geometry.kahler_rank(q), 0.5
-
-
-def check_hyperbolic_invariance(config, rng):
-    allowed = 1e-11 * _rtol_scale(config)
-    for A, (q, a, b) in _draws(max(5, config.samples // 5), lambda n: (
-            mobius.random_sp11(rng, size=n), _tangent_triple(config, rng, n))):
-        image = mobius.classical_apply(A, q)
-        da = mobius.classical_differential(A, q, a)
-        db = mobius.classical_differential(A, q, b)
-        ghat = geometry.hyperbolic_metric(q, a, b)
-        yield (
-            abs(geometry.hyperbolic_metric(image, da, db) - ghat)
-            / _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b), allowed)
-
-
+@_row("geometry", "origin-noninvariance-witness",
+      "a diagonal symmetry violates Omega_0 while G_0 stays invariant")
 def check_origin_noninvariance(config, rng):
     # the fixed witness must move Omega_0 by more than 1e-6; then G_0 =
     # Re(alpha conj(beta)) must stay put under random diagonal symmetries
     # alpha -> d^{-1} alpha a
     witness = geometry.noninvariance_witness()
     yield math.nextafter(1e-6, math.inf), witness.omega_violation
-    allowed = 1e-12 * _atol_scale(config)
-    for d, a, al, be in _draws(config.samples, lambda n: (
-            random_unit_quaternion(rng, size=n),
-            random_unit_quaternion(rng, size=n),
-            random_tangent(rng, size=n), random_tangent(rng, size=n))):
-        ta, tb = d.inv() * al * a, d.inv() * be * a
-        scale = _larger(1.0, abs(al) * abs(be))
-        yield abs((ta * tb.conj()).w - (al * be.conj()).w) / scale, allowed
+    yield from _blocks(_diagonal_symmetry, _g0_invariance)(config, rng)
 
 
-def _check_representation(config, rng, tensor):
-    fns = {"G": geometry.slice_riemannian, "H": geometry.slice_hermitian,
-           "Omega": geometry.slice_kahler}
-    direct = fns[tensor]
-    allowed = (2e-12 if tensor == "G" else 1e-11) * _rtol_scale(config)
-    for q, a, b, u in _draws(config.samples,
-                             lambda n: _triple_and_unit(config, rng, n)):
-        lhs = direct(q, a, b)
-        rhs = geometry.representation_transform(u, tensor, q, a, b)
-        if tensor == "G":
-            error = abs(lhs - rhs) / _cauchy_schwarz(direct, q, a, b)
-        else:
-            error = _rel_q(lhs, rhs)
-        yield error, allowed
+@_row("geometry", "representation-riemannian",
+      "G transforms by unit conjugation of point and tangents",
+      _triple_and_unit)
+def check_representation_riemannian(config, q, a, b, u):
+    rhs = geometry.representation_transform(u, "G", q, a, b)
+    return (abs(geometry.slice_riemannian(q, a, b) - rhs)
+            / _cauchy_schwarz(geometry.slice_riemannian, q, a, b),
+            2e-12 * _rtol_scale(config))
 
 
-def check_representation_riemannian(config, rng):
-    return _check_representation(config, rng, "G")
+@_row("geometry", "representation-hermitian",
+      "H transforms by unit conjugation with u^{-1} . u wrapping",
+      _triple_and_unit)
+def check_representation_hermitian(config, q, a, b, u):
+    return (_rel_q(geometry.slice_hermitian(q, a, b),
+                   geometry.representation_transform(u, "H", q, a, b)),
+            1e-11 * _rtol_scale(config))
 
 
-def check_representation_hermitian(config, rng):
-    return _check_representation(config, rng, "H")
+@_row("geometry", "representation-kahler",
+      "Omega transforms by unit conjugation with u^{-1} . u wrapping",
+      _triple_and_unit)
+def check_representation_kahler(config, q, a, b, u):
+    return (_rel_q(geometry.slice_kahler(q, a, b),
+                   geometry.representation_transform(u, "Omega", q, a, b)),
+            1e-11 * _rtol_scale(config))
 
 
-def check_representation_kahler(config, rng):
-    return _check_representation(config, rng, "Omega")
-
-
-def check_slice_restriction_metric(config, rng):
-    allowed = 1e-13 * _rtol_scale(config)
-    for unit, q, a, b in _draws(config.samples,
-                                lambda n: _on_slice(rng, n)):
-        g_i = geometry.slice_restriction_metric(unit, q, a, b)
-        # on the slice G and Ghat agree, and so do their scales
-        scale = _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b)
-        yield (
-            _columns(abs(g_i - geometry.slice_riemannian(q, a, b)) / scale,
+@_row("geometry", "slice-restriction-metric",
+      "G restricts on each slice to the classical disk metric", _on_slice)
+def check_slice_restriction_metric(config, unit, q, a, b):
+    g_i = geometry.slice_restriction_metric(unit, q, a, b)
+    # on the slice G and Ghat agree, and so do their scales
+    scale = _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b)
+    return (_columns(abs(g_i - geometry.slice_riemannian(q, a, b)) / scale,
                      abs(g_i - geometry.hyperbolic_metric(q, a, b)) / scale),
-            allowed)
+            1e-13 * _rtol_scale(config))
 
 
-def check_slice_restriction_kahler(config, rng):
-    allowed = 1e-13 * _rtol_scale(config)
-    for unit, q, a, b in _draws(config.samples,
-                                lambda n: _on_slice(rng, n)):
-        omega_i = geometry.slice_restriction_kahler(unit, q, a, b)
-        # |Omega| <= |H_q(a, b)|, which on the slice is Ghat's scale
-        scale = _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b)
-        yield (max_component_diff(geometry.slice_kahler(q, a, b),
-                                  unit * omega_i) / scale, allowed)
+@_row("geometry", "slice-restriction-kahler",
+      "Omega restricts on each slice to I times the disk area form",
+      _on_slice)
+def check_slice_restriction_kahler(config, unit, q, a, b):
+    omega_i = geometry.slice_restriction_kahler(unit, q, a, b)
+    # |Omega| <= |H_q(a, b)|, which on the slice is Ghat's scale
+    scale = _cauchy_schwarz(geometry.hyperbolic_metric, q, a, b)
+    return (max_component_diff(geometry.slice_kahler(q, a, b),
+                               unit * omega_i) / scale,
+            1e-13 * _rtol_scale(config))
 
 
+@_row("geometry", "segment-length",
+      "radial segments have hyperbolic length atanh(r) under both metrics")
 def check_segment_length(config, rng):
     allowed = 1e-6 * _rtol_scale(config)
     for r in (0.3, 0.5, 0.7):
@@ -675,6 +776,8 @@ def check_segment_length(config, rng):
             yield abs(geometry.curve_length(pts, metric) - target), allowed
 
 
+@_row("geometry", "distance-self",
+      "the geodesic estimate between a point and itself is 0")
 def check_distance_self(config, rng):
     for _ in range(3):
         p = _ball(rng, 0.9)
@@ -686,56 +789,52 @@ def check_distance_self(config, rng):
 
 # ---------------------------------------------------------------- hardy
 
-def _ball_draws(config, rng, count, points):
-    """_draws of count draws, each of `points` points uniform in the
-    ball |q| <= 1 - boundary_margin."""
-    return _draws(count, lambda n: tuple(
-        random_ball_point(rng, config.boundary_margin, size=n)
-        for _ in range(points)))
+@_row("hardy", "delta-origin", "delta(0, q) equals |q|", _ball_points(1))
+def check_delta_origin(config, q):
+    return abs(hardy.delta(ZERO, q) - abs(q)), 1e-10 * _rtol_scale(config)
 
 
-def check_delta_origin(config, rng):
-    allowed = 1e-10 * _rtol_scale(config)
-    for (q,) in _ball_draws(config, rng, config.samples, 1):
-        yield abs(hardy.delta(ZERO, q) - abs(q)), allowed
-
-
-def check_delta_symmetric(config, rng):
+@_row("hardy", "delta-symmetric", "delta is symmetric in its arguments",
+      _ball_points(2))
+def check_delta_symmetric(config, p, q):
     # exact: swapping p and q swaps the operands of sums and products only
-    for p, q in _ball_draws(config, rng, config.samples, 2):
-        yield abs(hardy.delta(p, q) - hardy.delta(q, p)), 1e-15
+    return abs(hardy.delta(p, q) - hardy.delta(q, p)), 1e-15
 
 
-def check_delta_range(config, rng):
-    for p, q in _ball_draws(config, rng, config.samples, 2):
-        d = hardy.delta(p, q)
-        yield np.maximum(np.maximum(-d, d - 1.0), 0.0), 1e-15
+@_row("hardy", "delta-range", "delta takes values in [0, 1)",
+      _ball_points(2))
+def check_delta_range(config, p, q):
+    d = hardy.delta(p, q)
+    return np.maximum(np.maximum(-d, d - 1.0), 0.0), 1e-15
 
 
-def check_delta_slice_form(config, rng):
-    allowed = 1e-9 * _rtol_scale(config)
-
-    def draw(n):
-        unit = random_imaginary_unit(rng, size=n)
-        return _slice_points(rng, unit, 0.9), _slice_points(rng, unit, 0.9)
-    for p, q in _draws(config.samples, draw):
-        sp, sq = slice_decompose(p), slice_decompose(q)
-        # points share a slice, so the classical disk formula
-        # |zq - zp| / |1 - zq conj(zp)| applies; in real arithmetic,
-        # since numpy's complex product and abs round unlike Python's
-        dx, dy = sq.x - sp.x, sq.y - sp.y
-        re = 1.0 - (sq.x * sp.x + sq.y * sp.y)
-        im = sq.y * sp.x - sq.x * sp.y
-        closed = np.sqrt((dx * dx + dy * dy) / (re * re + im * im))
-        yield abs(hardy.delta(p, q) - closed), allowed
+def _slice_pair(config, rng, n):
+    unit = random_imaginary_unit(rng, size=n)
+    return _slice_points(rng, unit, 0.9), _slice_points(rng, unit, 0.9)
 
 
-def check_delta_triangle(config, rng):
+@_row("hardy", "delta-slice-form",
+      "on a common slice delta is the classical disk pseudo-hyperbolic "
+      "distance", _slice_pair)
+def check_delta_slice_form(config, p, q):
+    sp, sq = slice_decompose(p), slice_decompose(q)
+    # points share a slice, so the classical disk formula
+    # |zq - zp| / |1 - zq conj(zp)| applies; in real arithmetic, since
+    # numpy's complex product and abs round unlike Python's
+    dx, dy = sq.x - sp.x, sq.y - sp.y
+    re = 1.0 - (sq.x * sp.x + sq.y * sp.y)
+    im = sq.y * sp.x - sq.x * sp.y
+    closed = np.sqrt((dx * dx + dy * dy) / (re * re + im * im))
+    return abs(hardy.delta(p, q) - closed), 1e-9 * _rtol_scale(config)
+
+
+@_row("hardy", "delta-triangle", "delta satisfies the triangle inequality",
+      _ball_points(3), count=10)
+def check_delta_triangle(config, p, q, r):
     # each delta is within about 1e-16 / (1 - |q|^2) of exact: under
     # 5e-14 in the ball |q| <= 0.999 of the default margin
-    for p, q, r in _ball_draws(config, rng, config.samples * 10, 3):
-        excess = hardy.delta(p, r) - hardy.delta(p, q) - hardy.delta(q, r)
-        yield np.maximum(excess, 0.0), 1e-12
+    excess = hardy.delta(p, r) - hardy.delta(p, q) - hardy.delta(q, r)
+    return np.maximum(excess, 0.0), 1e-12
 
 
 def _disk_div(ax, ay, bx, by):
@@ -753,7 +852,7 @@ def _disk_points(rng, n, radius):
     return r * np.cos(t), r * np.sin(t)
 
 
-def _geodesic_triples(rng, n):
+def _geodesic_triples(config, rng, n):
     """n draws of p, q, r on one random slice, p and r uniform in its
     disk of radius 0.9 and q = phi_p^{-1}(t phi_p(r)) with t uniform in
     [0, 1), phi_p(z) = (z - p) / (1 - conj(p) z): q lies on the
@@ -771,182 +870,41 @@ def _geodesic_triples(rng, n):
                  for x, y in ((xp, yp), (xq, yq), (xr, yr)))
 
 
-def check_geodesic_additivity(config, rng):
+@_row("hardy", "geodesic-additivity",
+      "along a geodesic delta(p, r) = (a + b) / (1 + a b) with "
+      "a = delta(p, q) and b = delta(q, r)", _geodesic_triples)
+def check_geodesic_additivity(config, p, q, r):
     # on a geodesic the strong triangle inequality
     # delta(p, r) <= (a + b) / (1 + a b), a = delta(p, q), b = delta(q, r),
     # is an equality; a relative defect e in delta moves it by about
     # e delta(p, r) 2 a b / (1 + a b), far more than its round-off
-    for p, q, r in _draws(config.samples,
-                          lambda n: _geodesic_triples(rng, n)):
-        a, b = hardy.delta(p, q), hardy.delta(q, r)
-        yield abs(hardy.delta(p, r) - (a + b) / (1.0 + a * b)), 5e-14
+    a, b = hardy.delta(p, q), hardy.delta(q, r)
+    return abs(hardy.delta(p, r) - (a + b) / (1.0 + a * b)), 5e-14
 
 
-def _infinitesimal_ratios(config, draw):
+def _slice_probe(config, rng, n):
+    unit = random_imaginary_unit(rng, size=n)
+    return _slice_points(rng, unit, 0.8), _slice_tangents(rng, unit)
+
+
+# decorators apply from the bottom up: the slice row is registered first
+@_row("hardy", "infinitesimal-ratio",
+      "in every tangent direction the infinitesimal form of delta is "
+      "sqrt(G)", lambda config, rng, n: (_ball(rng, 0.8, n),
+                                         random_tangent(rng, size=n)),
+      per=50, floor=3)
+@_row("hardy", "infinitesimal-slice-ratio",
+      "on slices the infinitesimal form of delta is the split tangent "
+      "norm", _slice_probe, per=50, floor=3)
+def check_infinitesimal_ratio(config, q, a):
     # an inconclusive probe counts as an infinite error
-    allowed = 1e-4 * _rtol_scale(config)
-    for q, a in _draws(max(3, config.samples // 50), draw):
-        probe = hardy.infinitesimal_ratio(q, a)
-        yield _masked(np.where(probe.conclusive, abs(probe.ratio - 1.0),
-                               math.inf), allowed, abs(a) >= 1e-3)
+    probe = hardy.infinitesimal_ratio(q, a)
+    return _masked(np.where(probe.conclusive, abs(probe.ratio - 1.0),
+                            math.inf),
+                   1e-4 * _rtol_scale(config), abs(a) >= 1e-3)
 
 
-def check_infinitesimal_slice_ratio(config, rng):
-    def draw(n):
-        unit = random_imaginary_unit(rng, size=n)
-        return _slice_points(rng, unit, 0.8), _slice_tangents(rng, unit)
-    return _infinitesimal_ratios(config, draw)
-
-
-def check_infinitesimal_ratio(config, rng):
-    return _infinitesimal_ratios(config, lambda n: (
-        _ball(rng, 0.8, n), random_tangent(rng, size=n)))
-
-
-# -------------------------------------------------------------- registry
-
-@dataclass(frozen=True)
-class CheckDef:
-    suite: str
-    name: str
-    claim: str
-    fn: callable
-
-
-CHECKS = [
-    CheckDef("quat", "norm-multiplicative",
-             "abs(p q) equals abs(p) abs(q)", check_norm_multiplicative),
-    CheckDef("quat", "projection-resolution",
-             "slice projections resolve the identity, are idempotent "
-             "and mutually orthogonal", check_projection_resolution),
-    CheckDef("quat", "projection-anticommute",
-             "I anticommutes with the orthogonal projection of any tangent",
-             check_projection_anticommute),
-    CheckDef("quat", "slice-roundtrip",
-             "x + y I rebuilds q from its slice coordinates",
-             check_slice_roundtrip),
-    CheckDef("series", "star-associative",
-             "the *-product is associative", check_star_associative),
-    CheckDef("series", "symmetrization-commutes",
-             "f * f^c equals f^c * f coefficientwise",
-             check_symmetrization_commutes),
-    CheckDef("series", "symmetrization-real",
-             "every coefficient of f^s is real",
-             check_symmetrization_real),
-    CheckDef("series", "slice-evaluation-homomorphism",
-             "on a common slice, evaluation turns * into the pointwise "
-             "product", check_slice_evaluation_homomorphism),
-    CheckDef("series", "star-evaluation",
-             "(f * g)(q) equals f(q) g(f(q)^{-1} q f(q)) where f(q) is "
-             "not 0", check_star_evaluation),
-    CheckDef("series", "reciprocal-residual",
-             "f * f^{-*} evaluates to 1 on |q| <= 1/2",
-             check_reciprocal_residual),
-    CheckDef("mobius", "generator-valid",
-             "sampled matrices satisfy the defining relations of the "
-             "ball symmetry group", check_generator_valid),
-    CheckDef("mobius", "ball-preserved",
-             "classical and regular transformations map the ball into "
-             "itself", check_ball_preserved),
-    CheckDef("mobius", "fixed-points",
-             "the canonical map sends a to 0 and 0 to a u; a = 0 gives "
-             "minus the identity", check_fixed_points),
-    CheckDef("mobius", "closed-vs-series",
-             "closed-form and series evaluations of the regular map agree",
-             check_closed_vs_series),
-    CheckDef("mobius", "differential-fd",
-             "analytic differentials match central finite differences",
-             check_differential_fd),
-    CheckDef("mobius", "origin-isotropy",
-             "canonical maps fixing 0 are exactly the right rotations",
-             check_origin_isotropy),
-    CheckDef("mobius", "injectivity",
-             "separated inputs stay separated under the regular map",
-             check_injectivity),
-    CheckDef("mobius", "canonical-roundtrip",
-             "matrix_to_canonical reproduces the matrix map on samples",
-             check_canonical_roundtrip),
-    CheckDef("mobius", "normalize-pair",
-             "canonical maps sharing a zero differ by a right rotation",
-             check_normalize_pair),
-    CheckDef("geometry", "hermitian-u-independent",
-             "the Hermitian tensor does not depend on the unit chosen in "
-             "its definition", check_hermitian_u_independent),
-    CheckDef("geometry", "hermitian-closed-form",
-             "the definition of H matches its closed form",
-             check_hermitian_closed_form),
-    CheckDef("geometry", "riemannian-triple-agreement",
-             "closed, corrected and via-H routes to G agree",
-             check_riemannian_triple),
-    CheckDef("geometry", "riemannian-vs-split-norm",
-             "G equals the split tangent norm along the slice of q",
-             check_riemannian_vs_split_norm),
-    CheckDef("geometry", "split-scalar-identity",
-             "|1 - q^2|^2 - 4 |Im q|^2 equals (1 - |q|^2)^2",
-             check_split_scalar_identity),
-    CheckDef("geometry", "hermitian-symmetric",
-             "H(a, b) equals conj(H(b, a))", check_hermitian_symmetric),
-    CheckDef("geometry", "hermitian-positive",
-             "H(a, a) is real and positive down to tiny tangents",
-             check_hermitian_positive),
-    CheckDef("geometry", "decomposition-h-g-omega",
-             "H decomposes as G + Omega", check_decomposition),
-    CheckDef("geometry", "kahler-antisymmetric",
-             "Omega(a, b) equals -Omega(b, a)", check_kahler_antisymmetric),
-    CheckDef("geometry", "kahler-rank",
-             "Omega has full rank 4 against the standard basis",
-             check_kahler_rank),
-    CheckDef("geometry", "hyperbolic-invariance",
-             "the hyperbolic metric is invariant under classical "
-             "pushforward", check_hyperbolic_invariance),
-    CheckDef("geometry", "origin-noninvariance-witness",
-             "a diagonal symmetry violates Omega_0 while G_0 stays "
-             "invariant", check_origin_noninvariance),
-    CheckDef("geometry", "representation-riemannian",
-             "G transforms by unit conjugation of point and tangents",
-             check_representation_riemannian),
-    CheckDef("geometry", "representation-hermitian",
-             "H transforms by unit conjugation with u^{-1} . u wrapping",
-             check_representation_hermitian),
-    CheckDef("geometry", "representation-kahler",
-             "Omega transforms by unit conjugation with u^{-1} . u "
-             "wrapping", check_representation_kahler),
-    CheckDef("geometry", "slice-restriction-metric",
-             "G restricts on each slice to the classical disk metric",
-             check_slice_restriction_metric),
-    CheckDef("geometry", "slice-restriction-kahler",
-             "Omega restricts on each slice to I times the disk area form",
-             check_slice_restriction_kahler),
-    CheckDef("geometry", "segment-length",
-             "radial segments have hyperbolic length atanh(r) under both "
-             "metrics", check_segment_length),
-    CheckDef("geometry", "distance-self",
-             "the geodesic estimate between a point and itself is 0",
-             check_distance_self),
-    CheckDef("hardy", "delta-origin",
-             "delta(0, q) equals |q|", check_delta_origin),
-    CheckDef("hardy", "delta-symmetric",
-             "delta is symmetric in its arguments", check_delta_symmetric),
-    CheckDef("hardy", "delta-range",
-             "delta takes values in [0, 1)", check_delta_range),
-    CheckDef("hardy", "delta-slice-form",
-             "on a common slice delta is the classical disk "
-             "pseudo-hyperbolic distance", check_delta_slice_form),
-    CheckDef("hardy", "delta-triangle",
-             "delta satisfies the triangle inequality",
-             check_delta_triangle),
-    CheckDef("hardy", "geodesic-additivity",
-             "along a geodesic delta(p, r) = (a + b) / (1 + a b) with "
-             "a = delta(p, q) and b = delta(q, r)",
-             check_geodesic_additivity),
-    CheckDef("hardy", "infinitesimal-slice-ratio",
-             "on slices the infinitesimal form of delta is the split "
-             "tangent norm", check_infinitesimal_slice_ratio),
-    CheckDef("hardy", "infinitesimal-ratio",
-             "in every tangent direction the infinitesimal form of delta "
-             "is sqrt(G)", check_infinitesimal_ratio),
-]
-
+# -------------------------------------------------------------- running
 
 def _rng_for(seed, suite, name):
     key = zlib.crc32(("%s/%s" % (suite, name)).encode("utf-8"))

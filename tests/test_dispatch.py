@@ -14,7 +14,7 @@ from sliceball import (I, ONE, ZERO, DomainError, PreconditionError,
                        Quaternion, RegularPowerSeries, SingularValueError,
                        SpOneOneMatrix, delta, geometry, kernel_norm_sq,
                        max_component_diff, verify)
-from sliceball.quat import any_of, sqrt
+from sliceball.quat import any_of, slice_components, slice_decompose, sqrt
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sliceball"
 
@@ -133,6 +133,22 @@ def test_larger_keeps_a_nan_for_scalars_and_batches(values):
     assert batch[0] == 0.5 and math.isnan(batch[1])
     mixed = verify._larger(np.array([0.5, values[0]]), *values[1:])
     assert math.isnan(mixed[1])
+
+
+@pytest.mark.parametrize("rows", [
+    [(0.5, 0.0, 0.0, 0.0)], [(0.3, 0.1, 0.2, 0.0)],
+    [(0.3, 0.1, 0.2, 0.0), (0.5, 0.0, 0.0, 0.0), (-0.2, 0.0, 0.0, 1e-14)]],
+    ids=["one-real", "one-off-axis", "mixed"])
+def test_slice_components_of_a_batch_are_arrays_of_scalar_values(rows):
+    # a one-element batch on the real axis once came back with float y
+    # and unit
+    batch = Quaternion(*(np.array(c) for c in zip(*rows)))
+    scalar = [slice_components(Quaternion(*row)) for row in rows]
+    for got, want in zip(slice_components(batch), zip(*scalar)):
+        assert isinstance(got, np.ndarray) and got.shape == (len(rows),)
+        assert got.tolist() == list(want)
+    unit = slice_decompose(batch).unit
+    assert all(isinstance(c, np.ndarray) for c in unit.components())
 
 
 def test_only_quat_tells_a_scalar_from_a_batch():

@@ -27,6 +27,14 @@ def test_registry_is_well_formed():
         assert c.claim and c.claim == c.claim.strip()
 
 
+def test_every_suite_and_name_selects_only_itself():
+    # a pattern selects the rows whose suite/name contains it, and the
+    # benchmark runs each row alone by its full suite/name
+    names = ["%s/%s" % (c.suite, c.name) for c in CHECKS]
+    for name in names:
+        assert [n for n in names if name in n] == [name]
+
+
 def test_all_checks_pass_at_small_samples():
     results = run_checks(SMALL)
     assert len(results) == len(CHECKS)
@@ -693,7 +701,7 @@ def _loop_representation(tensor):
 def _loop_slice_restriction_metric(config, rng, block):
     allowed = 1e-13 * verify._rtol_scale(config)
     for unit, q, a, b in _per_draw(config.samples, block,
-                                   lambda n: verify._on_slice(rng, n)):
+                                   lambda n: verify._on_slice(config, rng, n)):
         g_i = geometry.slice_restriction_metric(unit, q, a, b)
         scale = math.sqrt(geometry.hyperbolic_metric(q, a, a)
                           * geometry.hyperbolic_metric(q, b, b))
@@ -704,7 +712,7 @@ def _loop_slice_restriction_metric(config, rng, block):
 def _loop_slice_restriction_kahler(config, rng, block):
     allowed = 1e-13 * verify._rtol_scale(config)
     for unit, q, a, b in _per_draw(config.samples, block,
-                                   lambda n: verify._on_slice(rng, n)):
+                                   lambda n: verify._on_slice(config, rng, n)):
         omega_i = geometry.slice_restriction_kahler(unit, q, a, b)
         scale = math.sqrt(geometry.hyperbolic_metric(q, a, a)
                           * geometry.hyperbolic_metric(q, b, b))
@@ -773,8 +781,9 @@ def _loop_delta_triangle(config, rng, block):
 
 
 def _loop_geodesic_additivity(config, rng, block):
-    for p, q, r in _per_draw(config.samples, block,
-                             lambda n: verify._geodesic_triples(rng, n)):
+    for p, q, r in _per_draw(
+            config.samples, block,
+            lambda n: verify._geodesic_triples(config, rng, n)):
         a, b = hardy.delta(p, q), hardy.delta(q, r)
         yield abs(hardy.delta(p, r) - (a + b) / (1.0 + a * b)), 5e-14
 
@@ -903,9 +912,9 @@ def test_slice_points_lie_in_the_half_disk_of_their_slice():
 
 
 def test_geodesic_triples_lie_on_one_geodesic_of_one_slice():
-    rng = np.random.default_rng(12)
-    for p, q, r in zip(*(_scalars(v)
-                         for v in verify._geodesic_triples(rng, 2000))):
+    triples = verify._geodesic_triples(RunConfig(), np.random.default_rng(12),
+                                       2000)
+    for p, q, r in zip(*(_scalars(v) for v in triples)):
         assert max(abs(p), abs(r)) < 0.9
         # the imaginary parts are parallel: one slice holds all three
         for a, b in ((p, q), (p, r)):
@@ -953,6 +962,24 @@ def test_representation_riemannian_passes_at_default_samples():
         (r,) = run_checks(RunConfig(seed=seed),
                           "geometry/representation-riemannian")
         assert r.passed and r.samples == 1000, (seed, r.max_error)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("measure", [verify.check_hermitian_closed_form,
+                                     verify.check_representation_riemannian],
+                         ids=["hermitian-closed-form",
+                              "representation-riemannian"])
+def test_measure_holds_on_the_edge_of_its_draw_domain(measure, seed):
+    # the rows draw q uniformly from |q| <= 1 - boundary_margin, so few
+    # of their draws come near the edge; here every point lies on it
+    config = RunConfig()
+    rng = np.random.default_rng(seed)
+    n = 1000
+    q = random_unit_quaternion(rng, size=n) * (1.0 - config.boundary_margin)
+    errors, allowed = measure(config, q, random_tangent(rng, size=n),
+                              random_tangent(rng, size=n),
+                              random_unit_quaternion(rng, size=n))
+    assert np.max(errors / allowed) <= 1.0
 
 
 def test_injectivity_redraws_only_the_close_points(monkeypatch):
