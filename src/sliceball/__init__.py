@@ -29,10 +29,10 @@ from .mobius import (RegularMobius, SpOneOneMatrix, classical_apply,
                      normalize_pair, random_sp11, regular_apply,
                      regular_apply_via_series, regular_differential,
                      rotation_ru)
-from .quat import (EPS_ZERO, I, J, K, ONE, ZERO, Quaternion, SliceCoords,
+from .quat import (EPS_ZERO, I, J, K, ONE, ZERO, Quaternion,
                    as_imaginary_unit, is_imaginary_unit, max_component_diff,
                    project_slice, random_ball_point, random_imaginary_unit,
-                   random_tangent, random_unit_quaternion, slice_decompose)
+                   random_tangent, random_unit_quaternion, slice_components)
 from .series import RegularPowerSeries
 from .verify import CheckResult, run_checks
 
@@ -45,7 +45,7 @@ __all__ = [
     "DomainError", "EPS_ZERO", "I", "InfinitesimalProbe", "J", "K",
     "KernelTruncation", "NoninvarianceReport", "ONE", "PreconditionError",
     "Quaternion", "RegularMobius", "RegularPowerSeries", "RunConfig",
-    "SingularValueError", "SliceCoords", "SpOneOneMatrix", "TensorValue",
+    "SingularValueError", "SpOneOneMatrix", "TensorValue",
     "ZERO", "arcozzi_sarfatti_norm",
     "as_imaginary_unit", "classical_apply", "classical_differential",
     "conjugation_cu", "curve_length", "delta",
@@ -58,7 +58,7 @@ __all__ = [
     "random_tangent", "random_unit_quaternion", "regular_apply",
     "regular_apply_via_series", "regular_differential",
     "representation_transform", "rotation_ru", "run_checks",
-    "slice_decompose", "slice_hermitian", "slice_hermitian_via_definition",
+    "slice_components", "slice_hermitian", "slice_hermitian_via_definition",
     "slice_kahler", "slice_restriction_kahler", "slice_restriction_metric",
     "slice_riemannian", "tail_bound", "tensor_value", "truncation_for",
     "__version__",

@@ -247,7 +247,7 @@ def cmd_transform(args):
     q = _require_in_ball(_parse_quat(args.q, "--q"), "--q", "q")
     if args.matrix:
         A = SpOneOneMatrix(*_parse_entries(args.matrix, "--matrix", "abcd"))
-        violated = A.violated_relation(1e-8)
+        violated = A.violated_relation()
         if violated:
             raise UsageError("matrix violates %s" % violated)
         if args.mode == "classical":

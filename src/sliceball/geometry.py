@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .mobius import RegularMobius, regular_differential
 from .quat import (I, J, K, ONE, Quaternion, any_of, outside_ball,
-                   project_slice, slice_decompose)
+                   project_slice, slice_components)
 
 _BASIS = (ONE, I, J, K)
 
@@ -48,6 +48,12 @@ _SEGMENT_BLOCK = 1000
 def _check_base(q):
     if outside_ball(q):
         raise DomainError("tensor base point must lie in the open unit ball")
+
+
+def _slice_unit(q):
+    # the unit I of q = x + y I; 0.0 * y gives a batch an array real part
+    _, y, ux, uy, uz = slice_components(q)
+    return Quaternion(0.0 * y, ux, uy, uz)
 
 
 def hyperbolic_metric(q, alpha, beta):
@@ -116,7 +122,7 @@ def slice_riemannian(q, alpha, beta, formula="closed"):
         tb = beta - q * beta * q
         return (ta * tb.conj()).w / (m2 * den2)
     if formula == "corrected":
-        unit = slice_decompose(q).unit
+        unit = _slice_unit(q)
         par_a, perp_a = project_slice(unit, alpha)
         par_b, perp_b = project_slice(unit, beta)
         # plain product here, not conj: perp parts anticommute with I
@@ -134,8 +140,7 @@ def arcozzi_sarfatti_norm(q, alpha):
     scalar identity |1 - q^2|^2 - 4 |Im q|^2 = (1 - |q|^2)^2.
     """
     _check_base(q)
-    sc = slice_decompose(q)
-    par, perp = project_slice(sc.unit, alpha)
+    par, perp = project_slice(_slice_unit(q), alpha)
     den = 1.0 - q.norm_sq()
     m2 = (1 - q * q).norm_sq()
     return par.norm_sq() / (den * den) + perp.norm_sq() / m2
@@ -178,8 +183,7 @@ def slice_restriction_metric(unit, q, alpha, beta):
     _check_base(q)
     for label, v in (("q", q), ("alpha", alpha), ("beta", beta)):
         _require_on_slice(unit, label, v)
-    den = 1.0 - q.norm_sq()
-    return (alpha * beta.conj()).w / (den * den)
+    return hyperbolic_metric(q, alpha, beta)
 
 
 def slice_restriction_kahler(unit, q, alpha, beta):
@@ -267,17 +271,14 @@ def noninvariance_witness():
 def curve_length(points, metric="G"):
     """Length of a polyline by the composite midpoint rule.
 
-    points is a list of scalar Quaternions or one array Quaternion with
-    1-D components, one element per point; either way at least two.
+    points is one array Quaternion with 1-D components, one element per
+    point, and at least two of them.
     Each segment contributes |v| sqrt of the metric at its midpoint in
     its own direction; refining the polyline converges to the smooth
     length.  metric is "G" or "Ghat".  The midpoints are evaluated in
     batches of at most _SEGMENT_BLOCK.
     """
-    if isinstance(points, Quaternion):
-        c = np.array(np.broadcast_arrays(*points.components()), dtype=float)
-    else:
-        c = np.array([p.components() for p in points], dtype=float).T
+    c = np.array(np.broadcast_arrays(*points.components()), dtype=float)
     if c.ndim != 2 or c.shape[1] < 2:
         raise PreconditionError("a curve needs at least two points")
     g = _metric_fn(metric)

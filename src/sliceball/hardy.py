@@ -14,7 +14,9 @@ The pairing is four geometric series on the slices of p and q, so delta
 has a closed form (Arcozzi-Sarfatti, J. Geom. Anal. 2015), which delta
 evaluates in O(1) with no truncation and no cancellation, for single
 points and batches alike, in plain float (or array) arithmetic on the
-slice coordinates of quat.slice_components.  Its error is about
+slice coordinates of quat.slice_components.  Its real-axis rule,
+quat._REAL_AXIS, was chosen for delta, and its comment gives the
+reasons.  Its error is about
 1e-16 / (1 - max(|p|, |q|)^2), nearly all from forming 1 - |q|^2 and
 1 - |p|^2; rounding the components of q alone moves delta that much
 near the boundary, also for points next to the real axis.  kernel_inner
@@ -35,19 +37,13 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .geometry import arcozzi_sarfatti_norm
-from .quat import (Quaternion, any_of, outside_ball, slice_components,
-                   slice_decompose, sqrt)
+from .quat import Quaternion, any_of, outside_ball, slice_components, sqrt
 
 _ORDER_CAP = 2_000_000
 _TRUNCATION_TOL = 1e-10     # default tail bound of truncation_for
 
-# delta takes a point with |Im q| at or below this on the real axis.  The
-# clamp moves delta by far less than its round-off, unlike EPS_ZERO's
-# (p = 0.9 + 9e-14 i, q = 0.9 + 9e-14 j gave 0 for 6.7e-13); and unlike
-# a literal 0 it keeps |Im q|^2 a normal float, so the slice unit
-# Im q / |Im q| has full precision (p = 0.1 + 1e-160 i, q = 0.9 put delta
-# off by 2.4e-6 with 0).
-_REAL_AXIS = 1e-150
+# infinitesimal_ratio: the decreasing steps t of delta(q, q + t alpha) / t
+_PROBE_STEPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
 
 def kernel_norm_sq(q):
@@ -66,24 +62,23 @@ def kernel_inner(p, q, n_terms):
     """
     if outside_ball(p) or outside_ball(q):
         raise DomainError("p and q must lie in the open unit ball")
-    sq = slice_decompose(q)
-    sp = slice_decompose(p)
+    xq, yq, u1, u2, u3 = slice_components(q)
+    xp, yp, v1, v2, v3 = slice_components(p)
     n = np.arange(n_terms + 1)
-    zq = complex(sq.x, sq.y) ** n
-    zp = complex(sp.x, -sp.y) ** n      # conj(p) on the slice of p
+    zq = complex(xq, yq) ** n
+    zp = complex(xp, -yp) ** n          # conj(p) on the slice of p
     s00 = float(zq.real @ zp.real)
     s01 = float(zq.real @ zp.imag)
     s10 = float(zq.imag @ zp.real)
     s11 = float(zq.imag @ zp.imag)
-    u, v = sq.unit, sp.unit
-    dot = u.x * v.x + u.y * v.y + u.z * v.z
-    cx = u.y * v.z - u.z * v.y
-    cy = u.z * v.x - u.x * v.z
-    cz = u.x * v.y - u.y * v.x
+    dot = u1 * v1 + u2 * v2 + u3 * v3
+    cx = u2 * v3 - u3 * v2
+    cy = u3 * v1 - u1 * v3
+    cz = u1 * v2 - u2 * v1
     return Quaternion(s00 - s11 * dot,
-                      s01 * v.x + s10 * u.x + s11 * cx,
-                      s01 * v.y + s10 * u.y + s11 * cy,
-                      s01 * v.z + s10 * u.z + s11 * cz)
+                      s01 * v1 + s10 * u1 + s11 * cx,
+                      s01 * v2 + s10 * u2 + s11 * cy,
+                      s01 * v3 + s10 * u3 + s11 * cz)
 
 
 @dataclass(frozen=True)
@@ -146,8 +141,8 @@ def delta(p, q):
     np_ = p.norm_sq()
     if any_of((nq >= 1.0) | (np_ >= 1.0)):
         raise DomainError("p and q must lie in the open unit ball")
-    xq, yq, uq1, uq2, uq3 = slice_components(q, _REAL_AXIS)
-    xp, yp, up1, up2, up3 = slice_components(p, _REAL_AXIS)
+    xq, yq, uq1, uq2, uq3 = slice_components(q)
+    xp, yp, up1, up2, up3 = slice_components(p)
     dx = xq - xp
     dx2 = dx * dx
     dy = yq - yp
@@ -187,28 +182,24 @@ class InfinitesimalProbe:
     step_values: tuple
 
 
-def infinitesimal_ratio(q, alpha, steps=(1e-2, 5e-3, 2.5e-3, 1.25e-3)):
+def infinitesimal_ratio(q, alpha):
     """Probe the infinitesimal form of delta along alpha at q.
 
-    Evaluates delta(q, q + t alpha) / t on the given decreasing steps
-    and extrapolates the polynomial error model to t = 0.  The reported
-    ratio compares the limit to sqrt of the split tangent norm; the
-    probe is conclusive when the extrapolation table has settled.  q and
-    alpha may be batches; each element gets exactly the value of a
-    scalar call, and the guards fail when any element fails.
+    Evaluates delta(q, q + t alpha) / t on the decreasing steps
+    _PROBE_STEPS and extrapolates the polynomial error model to t = 0.
+    The reported ratio compares the limit to sqrt of the split tangent
+    norm; the probe is conclusive when the extrapolation table has
+    settled.  q and alpha may be batches; each element gets exactly the
+    value of a scalar call, and the guards fail when any element fails.
     """
     if any_of(abs(alpha) <= 1e-12):
         raise PreconditionError("probe direction must be nonzero")
-    steps = tuple(float(t) for t in steps)
-    if len(steps) < 3 or any(t <= 0 for t in steps) \
-            or any(a <= b for a, b in zip(steps, steps[1:])):
-        raise PreconditionError("steps must be positive and decreasing")
     if outside_ball(q):
         raise DomainError("q must lie in the open unit ball")
-    if outside_ball(q + alpha * steps[0]):
+    if outside_ball(q + alpha * _PROBE_STEPS[0]):
         raise DomainError("largest probe step leaves the unit ball")
-    values = tuple(delta(q, q + alpha * t) / t for t in steps)
-    limit, settle = _neville_at_zero(steps, values)
+    values = tuple(delta(q, q + alpha * t) / t for t in _PROBE_STEPS)
+    limit, settle = _neville_at_zero(_PROBE_STEPS, values)
     # positive, since G is positive definite and |alpha| > 1e-12
     norm = sqrt(arcozzi_sarfatti_norm(q, alpha))
     conclusive = (settle <= 1e-5 * (abs(limit) + 1.0)) & (limit > 0.0)

@@ -36,9 +36,14 @@ _NEWTON_CAP = 100
 _NEWTON_DAMPING = 0.5
 _NEWTON_RESIDUAL = 5e-14
 
-# the defining relations of SpOneOneMatrix, in the order of _deviations
+# the defining relations of SpOneOneMatrix, in the order of _deviations,
+# and how far violated_relation lets each deviate
 _RELATIONS = ("|a|^2 - |b|^2 = 1", "|d|^2 - |c|^2 = 1",
               "conj(a) c - conj(b) d = 0")
+_RELATION_TOL = 1e-8
+
+# normalize_pair: largest component difference of two zeros counted equal
+_SAME_ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,14 +67,11 @@ class SpOneOneMatrix:
         devs = self._deviations()
         return np.maximum(np.maximum(devs[0], devs[1]), devs[2])
 
-    def is_valid(self, tol=1e-10):
-        return self.residual() <= tol
-
-    def violated_relation(self, tol):
-        """Name of the first defining relation not within tol (a NaN
-        deviation counts as broken), or None."""
+    def violated_relation(self):
+        """Name of the first defining relation not within _RELATION_TOL
+        (a NaN deviation counts as broken), or None."""
         for name, dev in zip(_RELATIONS, self._deviations()):
-            if not dev <= tol:
+            if not dev <= _RELATION_TOL:
                 return name
         return None
 
@@ -126,13 +128,14 @@ def _linear_factor_series(m):
     return f, g
 
 
-def regular_apply_via_series(m, q, margin=DEFAULT_BOUNDARY_MARGIN):
-    """Same map through series primitives only.
+def regular_apply_via_series(m, q):
+    """Same map through series primitives only, at |q| < 1 -
+    DEFAULT_BOUNDARY_MARGIN.
 
     Uses f^{-*} * g = (1/f^s) . (f^c * g) pointwise: the slice scalar
     f^s(q)^{-1} multiplies the evaluated convolution f^c * g.
     """
-    if outside_ball(q, 1.0 - margin):
+    if outside_ball(q, 1.0 - DEFAULT_BOUNDARY_MARGIN):
         raise DomainError("series evaluation stays a margin inside the ball")
     f, g = _linear_factor_series(m)
     sym = f.symmetrize()
@@ -274,9 +277,9 @@ def matrix_to_canonical(A):
     `sliceball transform --matrix` takes, with floats in repr, so a
     failure can be replayed exactly.
     """
-    if not A.is_valid(1e-8):
-        raise PreconditionError(
-            "matrix violates %s" % A.violated_relation(1e-8))
+    violated = A.violated_relation()
+    if violated:
+        raise PreconditionError("matrix violates %s" % violated)
     sym, num = matrix_regular_series(A)
 
     try:
@@ -311,9 +314,9 @@ def matrix_to_canonical(A):
     return RegularMobius(q, u / abs(u))
 
 
-def normalize_pair(m1, m2, tol=1e-10):
+def normalize_pair(m1, m2):
     """Unit u with m1 = R_u after m2, for canonical maps sharing a zero."""
-    if any_of(max_component_diff(m1.a, m2.a) > tol):
+    if any_of(max_component_diff(m1.a, m2.a) > _SAME_ZERO_TOL):
         raise PreconditionError("canonical forms have different zeros")
     return m2.u.inv() * m1.u
 

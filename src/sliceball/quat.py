@@ -2,19 +2,20 @@
 
 A quaternion q = w + x i + y j + z k is stored as four real components.
 Every point q with nonreal part lies on exactly one complex slice
-C_I = {x + y I} where I is a unit imaginary quaternion (I^2 = -1); the
-helpers here move between q and its slice coordinates and split tangent
-vectors into components parallel and orthogonal to a slice.
+C_I = {x + y I} where I is a unit imaginary quaternion (I^2 = -1);
+slice_components, the one slice decomposition, gives q's slice
+coordinates as plain numbers, and project_slice splits tangent vectors
+into components parallel and orthogonal to a slice.
 
 Components are Python floats, or numpy float64 arrays of one shape: a
 Quaternion with array components is a batch of quaternions.  A formula
 built from the arithmetic operators, abs and inv (such as the closed-form
 tensors in geometry) evaluates a batch elementwise with the same
 arithmetic as a scalar call, and a validity check on a batch fails when
-any element fails.  im_norm, max_component_diff, slice_components and
-slice_decompose also take batches (one value per element, with the
-scalar rules applied to each); comparisons take scalars only.  The
-samplers return one draw, or with size=n a batch of n draws.
+any element fails.  im_norm, max_component_diff and slice_components
+also take batches (one value per element, with the scalar rules applied
+to each); comparisons take scalars only.  The samplers return one draw,
+or with size=n a batch of n draws.
 
 Other modules tell a scalar from a batch only through any_of and sqrt:
 every validity check raises through any_of, and sqrt serves both.
@@ -24,7 +25,6 @@ Values are treated as immutable: all operations return new instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,17 @@ from .config import DEFAULT_BOUNDARY_MARGIN
 from .errors import DomainError, SingularValueError
 
 EPS_ZERO = 1e-13            # magnitudes at or below this count as zero
+
+# slice_components takes a point with |Im q| at or below this to be on
+# the real axis.  The clamp moves delta by far less than its round-off,
+# unlike EPS_ZERO's (p = 0.9 + 9e-14 i, q = 0.9 + 9e-14 j gave 0 for
+# 6.7e-13); and unlike a literal 0 it keeps |Im q|^2 a normal float, so
+# the slice unit Im q / |Im q| has full precision (p = 0.1 + 1e-160 i,
+# q = 0.9 put delta off by 2.4e-6 with 0).
+_REAL_AXIS = 1e-150
+
+# is_imaginary_unit: how far |q| may be from 1, and Re q from 0
+_UNIT_TOL = 1e-9
 
 # real scalars; an array is a batch of them
 _REAL = (int, float, np.ndarray)
@@ -197,43 +208,28 @@ def outside_ball(q, radius=1.0):
     return any_of(abs(q) >= radius)
 
 
-def is_imaginary_unit(q, tol=1e-9):
-    return abs(q.w) <= tol and abs(abs(q) - 1.0) <= tol
+def is_imaginary_unit(q):
+    return abs(q.w) <= _UNIT_TOL and abs(abs(q) - 1.0) <= _UNIT_TOL
 
 
-def as_imaginary_unit(q, tol=1e-9):
+def as_imaginary_unit(q):
     """Validate and exactly normalize a unit imaginary quaternion."""
-    if not is_imaginary_unit(q, tol):
+    if not is_imaginary_unit(q):
         raise DomainError("expected a unit imaginary quaternion, got %r" % (q,))
     n = q.im_norm()
     return Quaternion(0.0, q.x / n, q.y / n, q.z / n)
 
 
-@dataclass(frozen=True)
-class SliceCoords:
-    """Coordinates q = x + y I on the slice C_I, with y >= 0."""
-    unit: Quaternion
-    x: float
-    y: float
-
-    def point(self):
-        u = self.unit
-        return Quaternion(self.x, self.y * u.x, self.y * u.y, self.y * u.z)
-
-    def as_complex(self):
-        return complex(self.x, self.y)
-
-
-def slice_components(q, zero=EPS_ZERO):
+def slice_components(q):
     """Slice coordinates of q as plain numbers (x, y, ux, uy, uz):
     q = x + y I with y = |Im q| >= 0 and I = ux i + uy j + uz k.
 
-    Real axis points (y <= zero) sit on every slice; the unit is i there
-    and y is exactly 0.  For a batch each number is an array and the
-    rule holds per element.
+    Real axis points (y <= _REAL_AXIS) sit on every slice; the unit is i
+    there and y is exactly 0.  For a batch each number is an array and
+    the rule holds per element.
     """
     y = q.im_norm()
-    real = y <= zero
+    real = y <= _REAL_AXIS
     if real is not False:
         if isinstance(real, np.ndarray):
             # a batch: the same rule per element, dividing no element by zero
@@ -245,13 +241,6 @@ def slice_components(q, zero=EPS_ZERO):
         if real:
             return q.w, 0.0, 1.0, 0.0, 0.0
     return q.w, y, q.x / y, q.y / y, q.z / y
-
-
-def slice_decompose(q, zero=EPS_ZERO):
-    """Write q = x + y I with y = |Im q| >= 0, by slice_components."""
-    x, y, ux, uy, uz = slice_components(q, zero)
-    w = np.zeros_like(y) if isinstance(y, np.ndarray) else 0.0
-    return SliceCoords(Quaternion(w, ux, uy, uz), x, y)
 
 
 def project_slice(unit, alpha):

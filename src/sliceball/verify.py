@@ -45,7 +45,7 @@ from . import geometry, hardy, mobius
 from .config import DEFAULT_ATOL, DEFAULT_RTOL, RunConfig
 from .quat import (ONE, Quaternion, ZERO, max_component_diff, project_slice,
                    random_ball_point, random_imaginary_unit, random_tangent,
-                   random_unit_quaternion, slice_decompose, sqrt)
+                   random_unit_quaternion, slice_components, sqrt)
 from .series import RegularPowerSeries
 
 # draws evaluated per array call; keeps memory flat in --samples
@@ -257,7 +257,8 @@ def check_projection_anticommute(config, unit, a):
 @_row("quat", "slice-roundtrip",
       "x + y I rebuilds q from its slice coordinates", _ball_points(1))
 def check_slice_roundtrip(config, q):
-    return (max_component_diff(slice_decompose(q).point(), q),
+    x, y, ux, uy, uz = slice_components(q)
+    return (max_component_diff(Quaternion(x, y * ux, y * uy, y * uz), q),
             1e-14 * _atol_scale(config))
 
 
@@ -285,11 +286,12 @@ def _coefficient_pairs(errors, allowed, orders):
     return _masked(errors, np.reshape(allowed, (-1, 1)), own)
 
 
-def _random_series(rng, n, max_order, scale=0.7):
+def _random_series(rng, n, max_order):
     """n series of orders uniform in 0..max_order with Gaussian
-    coefficients, as one padded series, and their orders."""
+    coefficients of standard deviation 0.7, as one padded series, and
+    their orders."""
     orders = rng.integers(0, max_order + 1, size=n)
-    coeffs = random_tangent(rng, size=int(orders.sum()) + n) * scale
+    coeffs = random_tangent(rng, size=int(orders.sum()) + n) * 0.7
     return _padded_series(coeffs, orders), orders
 
 
@@ -412,9 +414,10 @@ def check_reciprocal_residual(config, f, q):
 
 # --------------------------------------------------------------- mobius
 
-def _random_canonical(rng, radius=0.9, size=None):
-    return mobius.RegularMobius(_ball(rng, radius, size),
-                                random_unit_quaternion(rng, size))
+def _random_canonical(rng, n):
+    # n canonical maps, each zero uniform in the ball |a| <= 0.9
+    return mobius.RegularMobius(_ball(rng, 0.9, n),
+                                random_unit_quaternion(rng, n))
 
 
 @_row("mobius", "generator-valid",
@@ -428,7 +431,7 @@ def check_generator_valid(config, A):
 @_row("mobius", "ball-preserved",
       "classical and regular transformations map the ball into itself",
       lambda config, rng, n: (
-          mobius.random_sp11(rng, size=n), _random_canonical(rng, size=n),
+          mobius.random_sp11(rng, size=n), _random_canonical(rng, n),
           random_ball_point(rng, config.boundary_margin, size=n)))
 def check_ball_preserved(config, A, m, q):
     # allowed is the largest float below 1, so |image| < 1 passes
@@ -440,7 +443,7 @@ def check_ball_preserved(config, A, m, q):
 @_row("mobius", "fixed-points",
       "the canonical map sends a to 0 and 0 to a u; a = 0 gives minus the "
       "identity", lambda config, rng, n: (
-          _random_canonical(rng, size=n), _ball(rng, 0.9, n)))
+          _random_canonical(rng, n), _ball(rng, 0.9, n)))
 def check_fixed_points(config, m, q):
     minus_q = mobius.regular_apply(mobius.RegularMobius(ZERO, ONE), q)
     return (
@@ -452,7 +455,7 @@ def check_fixed_points(config, m, q):
 
 @_row("mobius", "closed-vs-series",
       "closed-form and series evaluations of the regular map agree",
-      lambda config, rng, n: (_random_canonical(rng, size=n),
+      lambda config, rng, n: (_random_canonical(rng, n),
                               _ball(rng, 0.7, n)))
 def check_closed_vs_series(config, m, q):
     return (max_component_diff(mobius.regular_apply(m, q),
@@ -464,8 +467,9 @@ def check_closed_vs_series(config, m, q):
       "analytic differentials match central finite differences",
       lambda config, rng, n: (
           _ball(rng, 0.9, n), random_tangent(rng, size=n),
-          _random_canonical(rng, size=n), mobius.random_sp11(rng, size=n)))
-def check_differential_fd(config, q, alpha, m, A, h=1e-5):
+          _random_canonical(rng, n), mobius.random_sp11(rng, size=n)))
+def check_differential_fd(config, q, alpha, m, A):
+    h = 1e-5
     ana = mobius.regular_differential(m, q, alpha)
     fd = (mobius.regular_apply(m, q + alpha * h)
           - mobius.regular_apply(m, q - alpha * h)) / (2.0 * h)
@@ -507,7 +511,7 @@ def _redraw_close(rng, q1, q2):
 
 
 def _separated_pair(config, rng, n):
-    m, q1 = _random_canonical(rng, size=n), _ball(rng, 0.9, n)
+    m, q1 = _random_canonical(rng, n), _ball(rng, 0.9, n)
     return m, q1, _redraw_close(rng, q1, _ball(rng, 0.9, n))
 
 
@@ -817,13 +821,14 @@ def _slice_pair(config, rng, n):
       "on a common slice delta is the classical disk pseudo-hyperbolic "
       "distance", _slice_pair)
 def check_delta_slice_form(config, p, q):
-    sp, sq = slice_decompose(p), slice_decompose(q)
+    xp, yp = slice_components(p)[:2]
+    xq, yq = slice_components(q)[:2]
     # points share a slice, so the classical disk formula
     # |zq - zp| / |1 - zq conj(zp)| applies; in real arithmetic, since
     # numpy's complex product and abs round unlike Python's
-    dx, dy = sq.x - sp.x, sq.y - sp.y
-    re = 1.0 - (sq.x * sp.x + sq.y * sp.y)
-    im = sq.y * sp.x - sq.x * sp.y
+    dx, dy = xq - xp, yq - yp
+    re = 1.0 - (xq * xp + yq * yp)
+    im = yq * xp - xq * yp
     closed = np.sqrt((dx * dx + dy * dy) / (re * re + im * im))
     return abs(hardy.delta(p, q) - closed), 1e-9 * _rtol_scale(config)
 

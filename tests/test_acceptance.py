@@ -142,7 +142,7 @@ def test_criterion_11_segment_length():
     # direct: segment-length runs along imaginary units; this is the
     # real axis
     n = 4000
-    pts = [Quaternion(0.5 * k / n) for k in range(n + 1)]
+    pts = Quaternion(0.5 * np.arange(n + 1) / n)
     want = math.atanh(0.5)
     err = max(abs(curve_length(pts, "Ghat") - want),
               abs(curve_length(pts, "G") - want))

@@ -14,7 +14,7 @@ from sliceball import (I, ONE, ZERO, DomainError, PreconditionError,
                        Quaternion, RegularPowerSeries, SingularValueError,
                        SpOneOneMatrix, delta, geometry, kernel_norm_sq,
                        max_component_diff, verify)
-from sliceball.quat import any_of, slice_components, slice_decompose, sqrt
+from sliceball.quat import any_of, slice_components, sqrt
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sliceball"
 
@@ -137,7 +137,8 @@ def test_larger_keeps_a_nan_for_scalars_and_batches(values):
 
 @pytest.mark.parametrize("rows", [
     [(0.5, 0.0, 0.0, 0.0)], [(0.3, 0.1, 0.2, 0.0)],
-    [(0.3, 0.1, 0.2, 0.0), (0.5, 0.0, 0.0, 0.0), (-0.2, 0.0, 0.0, 1e-14)]],
+    [(0.3, 0.1, 0.2, 0.0), (0.5, 0.0, 0.0, 0.0), (-0.2, 0.0, 0.0, 1e-160),
+     (0.1, 0.0, 1e-140, 0.0)]],
     ids=["one-real", "one-off-axis", "mixed"])
 def test_slice_components_of_a_batch_are_arrays_of_scalar_values(rows):
     # a one-element batch on the real axis once came back with float y
@@ -147,7 +148,8 @@ def test_slice_components_of_a_batch_are_arrays_of_scalar_values(rows):
     for got, want in zip(slice_components(batch), zip(*scalar)):
         assert isinstance(got, np.ndarray) and got.shape == (len(rows),)
         assert got.tolist() == list(want)
-    unit = slice_decompose(batch).unit
+    # geometry's slice unit of a batch has an array real part too
+    unit = geometry._slice_unit(batch)
     assert all(isinstance(c, np.ndarray) for c in unit.components())
 
 

@@ -284,18 +284,16 @@ def test_slice_restriction_requires_slice_tangents():
 
 def test_curve_length_segment():
     n = 4000
-    pts = [Quaternion(0.5 * k / n) for k in range(n + 1)]
+    pts = Quaternion(0.5 * np.arange(n + 1) / n)
     want = math.atanh(0.5)
     assert abs(curve_length(pts, "Ghat") - want) <= 1e-6
     assert abs(curve_length(pts, "G") - want) <= 1e-6
-    with pytest.raises(PreconditionError):
-        curve_length([Quaternion()])
-    # one point as a batch, or as a scalar Quaternion, is no curve either
+    # one point as a batch, or as a scalar Quaternion, is no curve
     for one in (Quaternion(*np.zeros((4, 1))), Quaternion()):
         with pytest.raises(PreconditionError):
             curve_length(one)
     with pytest.raises(ValueError):
-        curve_length(pts[:2], "bogus")
+        curve_length(Quaternion(np.array([0.0, 0.1])), "bogus")
 
 
 def _curve_length_loop(points, metric):
@@ -309,31 +307,31 @@ def _curve_length_loop(points, metric):
     return total
 
 
+def _points(batch):
+    # the elements of a batch as scalar Quaternions
+    return [Quaternion(*c) for c in np.array(batch.components()).T.tolist()]
+
+
 def test_curve_length_equals_segment_loop_bit_for_bit(rng):
-    # a list of points and the same points as one array Quaternion
     unit = random_imaginary_unit(rng)
-    radial = [unit * (0.7 * k / 4000.0) for k in range(4001)]
-    bent = [random_ball_point(rng, 0.1) for _ in range(1203)]
-    for pts, batch in ((radial, unit * (0.7 * np.arange(4001) / 4000.0)),
-                       (bent, Quaternion(*np.array([p.components()
-                                                    for p in bent]).T))):
+    radial = unit * (0.7 * np.arange(4001) / 4000.0)
+    bent = Quaternion(*np.array([random_ball_point(rng, 0.1).components()
+                                 for _ in range(1203)]).T)
+    for batch in (radial, bent):
         for metric in ("G", "Ghat"):
-            want = _curve_length_loop(pts, metric)
-            assert curve_length(pts, metric) == want, metric
+            want = _curve_length_loop(_points(batch), metric)
             assert curve_length(batch, metric) == want, metric
 
 
 def test_distance_estimate_measures_its_polyline_as_one_batch(
         monkeypatch, rng):
-    # the same distance as measuring the polyline as a list of points
+    # the same distance as measuring the polyline one segment at a time
     pairs = [(random_ball_point(rng, 0.3), random_ball_point(rng, 0.3))
              for _ in range(2)]
     batched = [distance_estimate(p, q, metric) for p, q in pairs
                for metric in ("G", "Ghat")]
-    as_list = geometry.curve_length
-    monkeypatch.setattr(geometry, "curve_length", lambda pts, metric: as_list(
-        [Quaternion(*c) for c in np.array(pts.components()).T.tolist()],
-        metric))
+    monkeypatch.setattr(geometry, "curve_length", lambda pts, metric:
+                        _curve_length_loop(_points(pts), metric))
     assert [distance_estimate(p, q, metric) for p, q in pairs
             for metric in ("G", "Ghat")] == batched
 
@@ -416,6 +414,11 @@ def _batch(points):
 def test_batched_formulas_equal_scalar_bit_for_bit(rng):
     n = 10_000
     qs = [random_ball_point(rng, 0.0) for _ in range(n)]
+    # and points at |Im q| = 0, 1e-160, 1e-140 and 2e-13, on both sides
+    # of the real-axis rule of quat.slice_components
+    qs[-4:] = [Quaternion(0.5), Quaternion(0.3, 0.0, 1e-160, 0.0),
+               Quaternion(-0.6, 0.0, 6e-141, 8e-141),
+               Quaternion(0.2, 2e-13, 0.0, 0.0)]
     alphas = [random_tangent(rng) for _ in range(n)]
     betas = [random_tangent(rng) for _ in range(n)]
     q, alpha, beta = _batch(qs), _batch(alphas), _batch(betas)

@@ -27,13 +27,11 @@ def boost(t):
 
 
 def test_matrix_relations():
-    assert SpOneOneMatrix.identity().is_valid()
-    assert boost(0.7).is_valid()
-    assert SpOneOneMatrix.diagonal(I, J).is_valid()
+    assert SpOneOneMatrix.identity().violated_relation() is None
+    assert boost(0.7).violated_relation() is None
+    assert SpOneOneMatrix.diagonal(I, J).violated_relation() is None
     bad = SpOneOneMatrix(Quaternion(2.0), ONE, ONE, Quaternion(2.0))
-    assert not bad.is_valid()
-    assert bad.violated_relation(1e-10) == "|a|^2 - |b|^2 = 1"
-    assert SpOneOneMatrix.identity().violated_relation(1e-10) is None
+    assert bad.violated_relation() == "|a|^2 - |b|^2 = 1"
 
 
 def test_each_matrix_relation_is_named():
@@ -48,16 +46,17 @@ def test_each_matrix_relation_is_named():
     ]
     for A, residual, name in cases:
         assert A.residual() == residual
-        assert A.violated_relation(residual - 1e-3) == name
-        assert A.violated_relation(residual) is None
-        assert A.is_valid(residual) and not A.is_valid(residual - 1e-3)
+        assert A.violated_relation() == name
+    # a relation may deviate by up to 1e-8
+    for dev, name in ((0.5e-8, None), (2e-8, "|a|^2 - |b|^2 = 1")):
+        A = SpOneOneMatrix(Quaternion(math.sqrt(1.0 + dev)), ZERO, ZERO, ONE)
+        assert A.violated_relation() == name
 
 
 def test_nan_entry_breaks_a_relation():
     A = SpOneOneMatrix(ONE, ZERO, Quaternion(0.0, math.nan, 0.0, 0.0), ONE)
     assert math.isnan(A.residual())
-    assert not A.is_valid()
-    assert A.violated_relation(1e-10) == "|d|^2 - |c|^2 = 1"
+    assert A.violated_relation() == "|d|^2 - |c|^2 = 1"
 
 
 def test_random_sp11_satisfies_relations(rng):

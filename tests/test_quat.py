@@ -11,8 +11,8 @@ from sliceball import (DomainError, I, J, K, ONE, Quaternion,
                        is_imaginary_unit, max_component_diff, project_slice,
                        random_ball_point, random_imaginary_unit,
                        random_tangent, random_unit_quaternion,
-                       slice_decompose)
-from sliceball.quat import EPS_ZERO, outside_ball, slice_components
+                       slice_components)
+from sliceball.quat import outside_ball
 
 components = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, components, components, components, components)
@@ -68,55 +68,53 @@ def test_scalar_arithmetic():
     assert Quaternion(3.0) == 3.0
 
 
-def test_slice_decompose_roundtrip(rng):
+def test_slice_components_roundtrip(rng):
     for _ in range(200):
         q = random_ball_point(rng)
-        sc = slice_decompose(q)
-        assert sc.y >= 0.0
-        assert abs(abs(sc.unit) - 1.0) <= 1e-15
-        assert_qclose(sc.point(), q, atol=1e-14)
-        assert sc.as_complex() == complex(sc.x, sc.y)
+        x, y, ux, uy, uz = slice_components(q)
+        assert y >= 0.0
+        assert abs(math.sqrt(ux * ux + uy * uy + uz * uz) - 1.0) <= 1e-15
+        assert_qclose(Quaternion(x, y * ux, y * uy, y * uz), q, atol=1e-14)
 
 
-def test_slice_decompose_near_real_defaults_to_i():
-    sc = slice_decompose(Quaternion(0.3, 1e-15, 0.0, 0.0))
-    assert sc.unit == I
-    assert sc.y == 0.0
-    assert sc.x == 0.3
+def test_slice_components_near_real_defaults_to_i():
+    # at or below |Im q| = 1e-150 the point is on the real axis
+    for im in (0.0, 1e-160, 1e-150):
+        assert slice_components(Quaternion(0.3, 0.0, 0.0, im)) == (
+            0.3, 0.0, 1.0, 0.0, 0.0)
+    # above it the unit keeps full precision, however small |Im q| is
+    assert slice_components(Quaternion(0.3, 0.0, 0.0, 1e-140)) == (
+        0.3, 1e-140, 0.0, 0.0, 1.0)
 
 
 def test_slice_components_are_plain_numbers(rng):
     qs = [random_ball_point(rng) for _ in range(50)]
     qs += [Quaternion(0.5), Quaternion(0.3, 1e-15, 0.0, 0.0),
            Quaternion(-0.2, 0.0, 2e-13, 0.0),
+           Quaternion(0.4, 0.0, 0.0, 1e-160),
            Quaternion(0.1, 1e-140, 0.0, 0.0)]
     batch = Quaternion(*np.array([c.components() for c in qs]).T)
-    for zero in (EPS_ZERO, 1e-150):
-        scalar = [slice_components(q, zero) for q in qs]
-        for q, got in zip(qs, scalar):
-            y = q.im_norm()
-            assert all(type(c) is float for c in got)
-            assert got == ((q.w, 0.0, 1.0, 0.0, 0.0) if y <= zero
-                           else (q.w, y, q.x / y, q.y / y, q.z / y))
-        # a batch: one array per number, each element the scalar value
-        for got, want in zip(slice_components(batch, zero), zip(*scalar)):
-            assert np.array_equal(got, want)
-        # slice_decompose wraps the same numbers, with a unit Quaternion
-        for q in (qs[0], qs[-1], batch):
-            sc = slice_decompose(q, zero)
-            assert all(np.array_equal(a, b) for a, b in zip(
-                (sc.x, sc.y, sc.unit.x, sc.unit.y, sc.unit.z),
-                slice_components(q, zero)))
-            assert np.array_equal(sc.unit.w, 0.0 * sc.y)
-    assert slice_components(qs[-1], 1e-150) == (0.1, 1e-140, 1.0, 0.0, 0.0)
-    assert slice_components(qs[-1]) == (0.1, 0.0, 1.0, 0.0, 0.0)
+    scalar = [slice_components(q) for q in qs]
+    for q, got in zip(qs, scalar):
+        y = q.im_norm()
+        assert all(type(c) is float for c in got)
+        assert got == ((q.w, 0.0, 1.0, 0.0, 0.0) if y <= 1e-150
+                       else (q.w, y, q.x / y, q.y / y, q.z / y))
+    # a batch: one array per number, each element the scalar value
+    for got, want in zip(slice_components(batch), zip(*scalar)):
+        assert np.array_equal(got, want)
+    assert slice_components(qs[-1]) == (0.1, 1e-140, 1.0, 0.0, 0.0)
+    assert slice_components(qs[-2]) == (0.4, 0.0, 1.0, 0.0, 0.0)
 
 
 def test_batched_helpers_equal_scalar_calls(rng):
     qs = [random_ball_point(rng) for _ in range(200)]
-    # on the real axis, within EPS_ZERO of it, and just outside that
-    qs += [Quaternion(0.5), Quaternion(0.3, 1e-15, 0.0, 0.0),
-           Quaternion(-0.2, 0.0, 2e-13, 0.0)]
+    # on the real axis, within 1e-150 of it, and just outside that, down
+    # to |Im q| = 1e-140 and up to 2e-13
+    qs += [Quaternion(0.5), Quaternion(0.3, 1e-160, 0.0, 0.0),
+           Quaternion(-0.6, 0.0, 0.0, 1e-160),
+           Quaternion(0.3, 1e-15, 0.0, 0.0), Quaternion(-0.2, 0.0, 2e-13, 0.0),
+           Quaternion(0.7, 0.0, 6e-141, 8e-141)]
     ps = [random_ball_point(rng) for _ in qs]
     q = Quaternion(*np.array([c.components() for c in qs]).T)
     p = Quaternion(*np.array([c.components() for c in ps]).T)
@@ -124,17 +122,17 @@ def test_batched_helpers_equal_scalar_calls(rng):
         warnings.simplefilter("error")      # e.g. a division by zero
         norms = q.im_norm()
         diffs = max_component_diff(p, q)
-        sc = slice_decompose(q)
+        sc = slice_components(q)
     assert np.array_equal(norms, [c.im_norm() for c in qs])
     assert np.array_equal(diffs, [max_component_diff(a, b)
                                   for a, b in zip(ps, qs)])
-    scalar = [slice_decompose(c) for c in qs]
-    assert np.array_equal(sc.x, [s.x for s in scalar])
-    assert np.array_equal(sc.y, [s.y for s in scalar])
-    for c in "wxyz":
-        assert np.array_equal(getattr(sc.unit, c),
-                              [getattr(s.unit, c) for s in scalar]), c
-    assert [s.unit for s in scalar[-3:-1]] == [I, I]
+    scalar = [slice_components(c) for c in qs]
+    for got, want in zip(sc, zip(*scalar)):
+        assert np.array_equal(got, want)
+    assert scalar[-6:-3] == [(0.5, 0.0, 1.0, 0.0, 0.0),
+                             (0.3, 0.0, 1.0, 0.0, 0.0),
+                             (-0.6, 0.0, 1.0, 0.0, 0.0)]
+    assert scalar[-1] == (0.7, 1e-140, 0.0, 0.6, 0.8)
     assert type(Quaternion(0.1, 0.2, 0.3, 0.4).im_norm()) is float
 
 

@@ -11,7 +11,7 @@ from sliceball import (ONE, ZERO, ConversionError, Quaternion,
                        mobius, normalize_pair, project_slice,
                        random_ball_point, random_imaginary_unit, random_sp11,
                        random_tangent, random_unit_quaternion, run_checks,
-                       slice_decompose, verify)
+                       slice_components, verify)
 from sliceball.verify import CHECKS
 
 SMALL = RunConfig(samples=25)
@@ -326,7 +326,8 @@ def _loop_projection_anticommute(config, rng, block):
 def _loop_slice_roundtrip(config, rng, block):
     for (q,) in _per_draw(config.samples, block, lambda n: (
             random_ball_point(rng, config.boundary_margin, size=n),)):
-        yield (max_component_diff(slice_decompose(q).point(), q),
+        x, y, ux, uy, uz = slice_components(q)
+        yield (max_component_diff(Quaternion(x, y * ux, y * uy, y * uz), q),
                1e-14 * verify._atol_scale(config))
 
 
@@ -721,13 +722,15 @@ def _loop_slice_restriction_kahler(config, rng, block):
 
 
 def _loop_segment_length(config, rng, block):
-    # the radius as a list of scalar points; the row draws no blocks
+    # the radius from scalar points, stacked into one array Quaternion;
+    # the row draws no blocks
     allowed = 1e-6 * verify._rtol_scale(config)
     for r in (0.3, 0.5, 0.7):
         unit = random_imaginary_unit(rng)
         target = math.atanh(r)
         for metric in ("Ghat", "G"):
-            pts = [unit * (r * k / 4000.0) for k in range(4001)]
+            pts = Quaternion(*np.array([(unit * (r * k / 4000.0)).components()
+                                        for k in range(4001)]).T)
             yield abs(geometry.curve_length(pts, metric) - target), allowed
 
 
@@ -764,10 +767,11 @@ def _loop_delta_slice_form(config, rng, block):
         return (verify._slice_points(rng, unit, 0.9),
                 verify._slice_points(rng, unit, 0.9))
     for p, q in _per_draw(config.samples, block, draw):
-        sp, sq = slice_decompose(p), slice_decompose(q)
-        dx, dy = sq.x - sp.x, sq.y - sp.y
-        re = 1.0 - (sq.x * sp.x + sq.y * sp.y)
-        im = sq.y * sp.x - sq.x * sp.y
+        xp, yp = slice_components(p)[:2]
+        xq, yq = slice_components(q)[:2]
+        dx, dy = xq - xp, yq - yp
+        re = 1.0 - (xq * xp + yq * yp)
+        im = yq * xp - xq * yp
         closed = math.sqrt((dx * dx + dy * dy) / (re * re + im * im))
         yield abs(hardy.delta(p, q) - closed), allowed
 
@@ -901,14 +905,14 @@ def test_slice_points_lie_in_the_half_disk_of_their_slice():
     rng = np.random.default_rng(11)
     unit = random_imaginary_unit(rng, size=4000)
     q = verify._slice_points(rng, unit, 0.9)
-    sc = slice_decompose(q)
+    x = slice_components(q)[0]
     assert np.all(abs(q) < 0.9)
     # q = x + y unit with y >= 0, so Im q is y times the drawn unit
     assert max_component_diff(q.im, unit * q.im_norm()).max() <= 1e-15
     # uniform in the half disk: a quarter of it within radius 0.45, and
     # as many points with x < 0 as with x > 0
     assert abs(np.mean(abs(q) < 0.45) - 0.25) < 0.03
-    assert abs(np.mean(sc.x < 0.0) - 0.5) < 0.03
+    assert abs(np.mean(x < 0.0) - 0.5) < 0.03
 
 
 def test_geodesic_triples_lie_on_one_geodesic_of_one_slice():
@@ -1032,7 +1036,7 @@ def _flipped_correction(q, alpha, beta, formula="closed"):
     value = _REAL_RIEMANNIAN(q, alpha, beta, formula)
     if formula != "corrected":
         return value
-    unit = slice_decompose(q).unit
+    unit = Quaternion(0.0, *slice_components(q)[2:])
     perp_a, perp_b = (project_slice(unit, v)[1] for v in (alpha, beta))
     den = 1.0 - q.norm_sq()
     correction = (4.0 * q.im_norm() ** 2 * (perp_a * perp_b).w
