@@ -3,8 +3,11 @@
 Quaternion algebra, truncated regular power series under the *-product,
 classical and regular Mobius transformations of the ball, the family of
 slice Hermitian / Riemannian / Kahler structures they induce, and the
-Hardy-kernel pseudo-hyperbolic distance, together with a verification
-suite for the documented identities.
+Hardy-kernel pseudo-hyperbolic distance.
+
+The verification suite for the documented identities is the submodule
+sliceball.verify (run_checks, CheckResult).  Importing the package does
+not load it; `sliceball verify` imports it when it runs.
 """
 
 from .config import (DEFAULT_ATOL, DEFAULT_BOUNDARY_MARGIN, DEFAULT_RTOL,
@@ -17,8 +20,8 @@ from .geometry import (DistanceResult, NoninvarianceReport, TensorValue,
                        hyperbolic_metric, kahler_rank, noninvariance_witness,
                        representation_transform, slice_hermitian,
                        slice_hermitian_via_definition, slice_kahler,
-                       slice_restriction_kahler, slice_restriction_metric,
-                       slice_riemannian, tensor_value)
+                       slice_restriction_kahler, slice_riemannian,
+                       tensor_value)
 from .hardy import (InfinitesimalProbe, KernelTruncation, delta,
                     infinitesimal_ratio, kernel_inner, kernel_norm_sq,
                     tail_bound, truncation_for)
@@ -34,21 +37,18 @@ from .quat import (EPS_ZERO, I, J, K, ONE, ZERO, Quaternion,
                    project_slice, random_ball_point, random_imaginary_unit,
                    random_tangent, random_unit_quaternion, slice_components)
 from .series import RegularPowerSeries
-from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult", "ConversionError", "DEFAULT_ATOL",
-    "DEFAULT_BOUNDARY_MARGIN", "DEFAULT_RTOL",
-    "DEFAULT_SAMPLES", "DEFAULT_SEED", "DEFAULT_TRUNCATION", "DistanceResult",
-    "DomainError", "EPS_ZERO", "I", "InfinitesimalProbe", "J", "K",
-    "KernelTruncation", "NoninvarianceReport", "ONE", "PreconditionError",
-    "Quaternion", "RegularMobius", "RegularPowerSeries", "RunConfig",
-    "SingularValueError", "SpOneOneMatrix", "TensorValue",
-    "ZERO", "arcozzi_sarfatti_norm",
-    "as_imaginary_unit", "classical_apply", "classical_differential",
-    "conjugation_cu", "curve_length", "delta",
+    "ConversionError", "DEFAULT_ATOL", "DEFAULT_BOUNDARY_MARGIN",
+    "DEFAULT_RTOL", "DEFAULT_SAMPLES", "DEFAULT_SEED", "DEFAULT_TRUNCATION",
+    "DistanceResult", "DomainError", "EPS_ZERO", "I", "InfinitesimalProbe",
+    "J", "K", "KernelTruncation", "NoninvarianceReport", "ONE",
+    "PreconditionError", "Quaternion", "RegularMobius", "RegularPowerSeries",
+    "RunConfig", "SingularValueError", "SpOneOneMatrix", "TensorValue",
+    "ZERO", "arcozzi_sarfatti_norm", "as_imaginary_unit", "classical_apply",
+    "classical_differential", "conjugation_cu", "curve_length", "delta",
     "distance_estimate", "hyperbolic_metric", "infinitesimal_ratio",
     "is_imaginary_unit", "kahler_rank", "kernel_inner", "kernel_norm_sq",
     "matrix_regular_apply", "matrix_regular_differential",
@@ -57,9 +57,8 @@ __all__ = [
     "random_ball_point", "random_imaginary_unit", "random_sp11",
     "random_tangent", "random_unit_quaternion", "regular_apply",
     "regular_apply_via_series", "regular_differential",
-    "representation_transform", "rotation_ru", "run_checks",
-    "slice_components", "slice_hermitian", "slice_hermitian_via_definition",
-    "slice_kahler", "slice_restriction_kahler", "slice_restriction_metric",
-    "slice_riemannian", "tail_bound", "tensor_value", "truncation_for",
-    "__version__",
+    "representation_transform", "rotation_ru", "slice_components",
+    "slice_hermitian", "slice_hermitian_via_definition", "slice_kahler",
+    "slice_restriction_kahler", "slice_riemannian", "tail_bound",
+    "tensor_value", "truncation_for", "__version__",
 ]

@@ -30,7 +30,6 @@ from .mobius import (RegularMobius, SpOneOneMatrix, classical_apply,
                      matrix_regular_apply, regular_apply)
 from .quat import ZERO, Quaternion, as_imaginary_unit
 from .series import RegularPowerSeries
-from .verify import run_checks
 
 _ENV_SEED = "SLICEBALL_SEED"
 
@@ -128,6 +127,8 @@ def _emit_json(payload, args, what, flags, indent=None):
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args):
+    # the suite loads here, so no other subcommand compiles it
+    from .verify import run_checks
     seed = args.seed
     if seed is None:
         raw = os.environ.get(_ENV_SEED, RunConfig.seed)
@@ -342,7 +343,10 @@ def build_parser():
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("sample-field", help="tabulate a tensor on a slice")
-    p.add_argument("--tensor", choices=_FIELD_COLUMNS, default="G")
+    p.add_argument("--tensor", choices=_FIELD_COLUMNS, default="G",
+                   help="G, H and Omega write the same row: H, then "
+                        "G = Re H, then Omega = Im H; Ghat the hyperbolic "
+                        "metric, delta0 the distance delta(0, q)")
     p.add_argument("--slice", default="[0, 1, 0, 0]",
                    help="unit imaginary slice axis")
     p.add_argument("--offset", default=None,

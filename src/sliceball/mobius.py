@@ -28,8 +28,8 @@ import numpy as np
 
 from .config import DEFAULT_BOUNDARY_MARGIN
 from .errors import ConversionError, DomainError, PreconditionError
-from .quat import (ONE, Quaternion, ZERO, any_of, max_component_diff,
-                   outside_ball, random_unit_quaternion)
+from .quat import (_UNIT_TOL, ONE, Quaternion, ZERO, any_of,
+                   max_component_diff, outside_ball, random_unit_quaternion)
 from .series import RegularPowerSeries
 
 _NEWTON_CAP = 100
@@ -334,7 +334,7 @@ def rotation_ru(u, q):
 
 
 def _require_unit(u):
-    if abs(abs(u) - 1.0) > 1e-9:
+    if abs(abs(u) - 1.0) > _UNIT_TOL:
         raise PreconditionError("expected a unit quaternion, |u| = %g" % abs(u))
 
 

@@ -41,7 +41,8 @@ EPS_ZERO = 1e-13            # magnitudes at or below this count as zero
 # q = 0.9 put delta off by 2.4e-6 with 0).
 _REAL_AXIS = 1e-150
 
-# is_imaginary_unit: how far |q| may be from 1, and Re q from 0
+# how far a unit's |q| may be from 1 (is_imaginary_unit, and the unit u
+# of conjugation_cu and rotation_ru), and an imaginary unit's Re q from 0
 _UNIT_TOL = 1e-9
 
 # real scalars; an array is a batch of them

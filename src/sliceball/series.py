@@ -27,14 +27,6 @@ from .errors import DomainError, SingularValueError
 from .quat import _REAL, EPS_ZERO, Quaternion, any_of, outside_ball
 
 
-# Quaternion.__mul__ as (component of p, component of q, added) per
-# term of p q, in its order of evaluation, one row per component w..z
-_HAMILTON = (((0, 0, True), (1, 1, False), (2, 2, False), (3, 3, False)),
-             ((0, 1, True), (1, 0, True), (2, 3, True), (3, 2, False)),
-             ((0, 2, True), (1, 3, False), (2, 0, True), (3, 1, True)),
-             ((0, 3, True), (1, 2, True), (2, 1, False), (3, 0, True)))
-
-
 def _as_quat(c):
     if isinstance(c, Quaternion):
         return c
@@ -77,34 +69,25 @@ class RegularPowerSeries:
         """*-product: coefficient n is sum over k+l=n of a_k b_l.
 
         The coefficients of other are stacked on a leading axis, so each
-        a_k takes one Hamilton product against all of them, which is
-        added into coefficients k..k+len(b)-1.  Coefficient n thus sums
-        its terms from 0.0 in increasing k, the order of the double loop
-        over k and l, and the product rounds each component as
-        Quaternion.__mul__ does, so the result equals that loop's bit
-        for bit, signed zeros included.  The product is formed one
-        component at a time in two buffers of the stacked shape, so no
-        more temporaries of that size exist at once.  A scalar result
-        has Python float components.
+        a_k takes one Hamilton product (Quaternion.__mul__) against all
+        of them, which is added into coefficients k..k+len(b)-1.
+        Coefficient n thus sums its terms from 0.0 in increasing k, the
+        order of the double loop over k and l, so the result equals that
+        loop's bit for bit, signed zeros included.  A scalar result has
+        Python float components.
         """
         a, b = self.coeffs, other.coeffs
         shape = np.broadcast_shapes(*(np.shape(v) for c in a + b
                                       for v in c.components()))
-        stacked = [np.stack([np.broadcast_to(v, shape) for v in vs])
-                   for vs in zip(*(c.components() for c in b))]
+        stacked = Quaternion(*(np.stack([np.broadcast_to(v, shape)
+                                         for v in vs])
+                               for vs in zip(*(c.components() for c in b))))
         out = np.zeros((4, len(a) + len(b) - 1) + shape)
-        term, acc = np.empty_like(stacked[0]), np.empty_like(stacked[0])
         # overflow gives inf or NaN silently, as Python float arithmetic
         with np.errstate(all="ignore"):
             for k, ak in enumerate(a):
-                comps = ak.components()
-                for o, row in zip(out, _HAMILTON):
-                    (i, j, _), *rest = row
-                    np.multiply(comps[i], stacked[j], out=acc)
-                    for i, j, add in rest:
-                        np.multiply(comps[i], stacked[j], out=term)
-                        (np.add if add else np.subtract)(acc, term, out=acc)
-                    o[k:k + len(b)] += acc
+                for o, v in zip(out, (ak * stacked).components()):
+                    o[k:k + len(b)] += v
         if not shape:
             out = out.tolist()
         return RegularPowerSeries([Quaternion(*c) for c in zip(*out)])

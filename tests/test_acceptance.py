@@ -15,8 +15,9 @@ from sliceball import (ONE, Quaternion, RegularMobius, RegularPowerSeries,
                        RunConfig, curve_length, delta, max_component_diff,
                        random_ball_point, random_imaginary_unit,
                        regular_apply, regular_apply_via_series,
-                       regular_differential, run_checks)
+                       regular_differential)
 from sliceball.config import DEFAULT_ATOL
+from sliceball.verify import run_checks
 
 HALF = Quaternion(0.5)
 HALF_J = Quaternion(0.0, 0.0, 0.5, 0.0)

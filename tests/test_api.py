@@ -43,8 +43,8 @@ def _defaulted():
 
 def test_exported_names():
     assert sorted(sliceball.__all__) == sorted([
-        "CheckResult", "ConversionError", "DEFAULT_ATOL",
-        "DEFAULT_BOUNDARY_MARGIN", "DEFAULT_RTOL", "DEFAULT_SAMPLES",
+        "ConversionError", "DEFAULT_ATOL", "DEFAULT_BOUNDARY_MARGIN",
+        "DEFAULT_RTOL", "DEFAULT_SAMPLES",
         "DEFAULT_SEED", "DEFAULT_TRUNCATION", "DistanceResult", "DomainError",
         "EPS_ZERO", "I", "InfinitesimalProbe", "J", "K", "KernelTruncation",
         "NoninvarianceReport", "ONE", "PreconditionError", "Quaternion",
@@ -60,13 +60,11 @@ def test_exported_names():
         "random_ball_point", "random_imaginary_unit", "random_sp11",
         "random_tangent", "random_unit_quaternion", "regular_apply",
         "regular_apply_via_series", "regular_differential",
-        "representation_transform", "rotation_ru", "run_checks",
-        "slice_components", "slice_hermitian",
-        "slice_hermitian_via_definition", "slice_kahler",
-        "slice_restriction_kahler", "slice_restriction_metric",
-        "slice_riemannian", "tail_bound", "tensor_value", "truncation_for",
-        "__version__"])
-    assert len(sliceball.__all__) == len(set(sliceball.__all__)) == 71
+        "representation_transform", "rotation_ru", "slice_components",
+        "slice_hermitian", "slice_hermitian_via_definition", "slice_kahler",
+        "slice_restriction_kahler", "slice_riemannian", "tail_bound",
+        "tensor_value", "truncation_for", "__version__"])
+    assert len(sliceball.__all__) == len(set(sliceball.__all__)) == 68
 
 
 def test_defaulted_parameters():
@@ -81,12 +79,11 @@ def test_defaulted_parameters():
         "random_sp11": ["max_boost", "size"],
         "random_tangent": ["size"],
         "random_unit_quaternion": ["size"],
-        "run_checks": ["config", "pattern"],
         "slice_hermitian_via_definition": ["u"],
         "slice_riemannian": ["formula"],
         "truncation_for": ["tol"],
     }
-    assert sum(map(len, defaulted.values())) == 19
+    assert sum(map(len, defaulted.values())) == 17
 
 
 def test_dataclass_fields_with_defaults():
@@ -100,6 +97,5 @@ def test_dataclass_fields_with_defaults():
             if fields:
                 found[name] = fields
     assert found == {
-        "CheckResult": ["details"],
         "RunConfig": ["seed", "samples", "atol", "rtol", "boundary_margin"],
     }

@@ -2,9 +2,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sliceball
 from sliceball import (ZERO, Quaternion, RunConfig, as_imaginary_unit,
                        delta, hyperbolic_metric, tensor_value, verify)
 from sliceball.cli import _FIELD_COLUMNS, build_parser, main
@@ -76,6 +81,26 @@ def test_verify_check_that_raises_is_a_failed_row(capsys, monkeypatch):
     assert row["max_error"] is None and row["tolerance"] is None
     assert row["details"] == {"error": "ArithmeticError: boom"}
     assert all(r["pass"] for n, r in rows.items() if n != row["name"])
+
+
+_IMPORT_THEN_VERIFY = """
+import sys
+import sliceball, sliceball.cli
+assert "sliceball.verify" not in sys.modules, "import loaded the suite"
+sys.exit(sliceball.cli.main(["verify", "quat", "--samples", "1"]))
+"""
+
+
+def test_import_leaves_the_verify_suite_unloaded():
+    # a fresh interpreter, since this one has loaded the suite already
+    src = Path(sliceball.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _IMPORT_THEN_VERIFY],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout, parse_constant=_reject_constant)
+    assert report["pass"] is True and report["checks"] > 1
+    assert [s["suite"] for s in report["suites"]] == ["quat"]
 
 
 def test_seed_resolution(capsys, monkeypatch):

@@ -16,8 +16,8 @@ from sliceball import (DomainError, I, J, K, ONE, PreconditionError,
                        random_unit_quaternion, representation_transform,
                        classical_apply, slice_hermitian,
                        slice_hermitian_via_definition, slice_kahler,
-                       slice_restriction_kahler, slice_restriction_metric,
-                       slice_riemannian, tensor_value)
+                       slice_restriction_kahler, slice_riemannian,
+                       tensor_value)
 
 HALF_I = Quaternion(0.0, 0.5, 0.0, 0.0)
 
@@ -252,9 +252,7 @@ def test_slice_restrictions(rng):
         beta = Quaternion(beta_c[0]) + beta_c[1] * unit
 
         # on slice tangents the metric is the hyperbolic one
-        got = slice_restriction_metric(unit, q, alpha, beta)
         want = hyperbolic_metric(q, alpha, beta)
-        assert abs(got - want) <= 1e-11 * max(abs(want), 1.0)
         assert abs(slice_riemannian(q, alpha, beta) - want) <= 1e-11 * max(
             abs(want), 1.0)
 
@@ -268,18 +266,16 @@ def test_slice_restrictions(rng):
 def test_slice_restriction_requires_slice_tangents():
     with pytest.raises(PreconditionError,
                        match="^alpha has a component of size 1 off the slice$"):
-        slice_restriction_metric(I, HALF_I, J, ONE)
+        slice_restriction_kahler(I, HALF_I, J, ONE)
     with pytest.raises(PreconditionError):
         slice_restriction_kahler(I, Quaternion(0.5, 0.7, 0.0, 0.0), ONE, J)
     # a batch fails when any element is off the slice, and names the
     # largest off-slice size
     alpha = Quaternion(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
                        np.array([0.0, 0.0, 0.25]), 0.0)
-    for restriction in (slice_restriction_metric, slice_restriction_kahler):
-        with pytest.raises(PreconditionError, match="^alpha has a component "
-                                                    "of size 0.25 off the "
-                                                    "slice$"):
-            restriction(I, HALF_I, alpha, ONE)
+    with pytest.raises(PreconditionError, match="^alpha has a component "
+                                                "of size 0.25 off the slice$"):
+        slice_restriction_kahler(I, HALF_I, alpha, ONE)
 
 
 def test_curve_length_segment():
